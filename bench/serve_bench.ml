@@ -29,8 +29,7 @@
    bursts of ODD sizes (3, 5, 7, ... - sizes the old power-of-two
    bucketing always padded) arrive with exponential gaps at an odd
    [max_batch], and the run asserts zero padded rows, zero lost
-   requests, and - for shape-polymorphic models - exactly one plan
-   compile and a context pool of size 1.
+   requests, exactly one plan compile and a context pool of size 1.
 
    The reported speedup is served throughput over sequential
    throughput.  Results go to BENCH_serve.json one "key": value per
@@ -60,7 +59,6 @@ type row = {
   mean_batch : float;
   padded_rows : int;
   plan_compiles : int;
-  symbolic : bool;  (** one shape-polymorphic plan served every batch *)
   lat_p50_us : float;
   lat_p95_us : float;
   lat_p99_us : float;
@@ -135,9 +133,7 @@ let serve_leg (entry : Astitch_workloads.Zoo.entry) ~workers ~max_batch
                 (Printf.sprintf "%s: request shed: %s" entry.name
                    (Request.overload_to_string o)))
         tickets;
-      let stats = Serve.stats server in
-      let symbolic = Serve.symbolic server ~model:entry.name in
-      (wall, stats, symbolic))
+      (wall, Serve.stats server))
 
 let bench_workload ~requests ~workers ~max_batch
     (entry : Astitch_workloads.Zoo.entry) =
@@ -150,9 +146,7 @@ let bench_workload ~requests ~workers ~max_batch
   in
   let reg = Astitch_obs.Metrics.default in
   Astitch_obs.Metrics.reset reg;
-  let serve_wall_us, stats, symbolic =
-    serve_leg entry ~workers ~max_batch ~payloads
-  in
+  let serve_wall_us, stats = serve_leg entry ~workers ~max_batch ~payloads in
   let h = Astitch_obs.Metrics.histogram reg "serve.request_us" in
   let lat_p50_us = Astitch_obs.Metrics.quantile h 0.50
   and lat_p95_us = Astitch_obs.Metrics.quantile h 0.95
@@ -203,7 +197,6 @@ let bench_workload ~requests ~workers ~max_batch
     mean_batch;
     padded_rows = stats.Serve.padded_rows;
     plan_compiles = stats.Serve.plan_compiles;
-    symbolic;
     lat_p50_us;
     lat_p95_us;
     lat_p99_us;
@@ -217,9 +210,8 @@ let bench_workload ~requests ~workers ~max_batch
    bucketing used to pad.  Each burst is awaited before the next
    arrives, so it dispatches as one batch of exactly its (odd) size
    once the batching window expires.  Asserts the continuous-batching
-   contract: zero padded rows, zero lost requests, and for a
-   shape-polymorphic model exactly one plan compile and a context pool
-   of size 1. *)
+   contract: zero padded rows, zero lost requests, exactly one plan
+   compile and a context pool of size 1. *)
 let continuous_leg (entry : Astitch_workloads.Zoo.entry) =
   let max_batch = 7 in
   let bursts = [ 3; 5; 7; 1; 5; 3 ] in
@@ -277,7 +269,6 @@ let continuous_leg (entry : Astitch_workloads.Zoo.entry) =
       Serve.drain server;
       let stats = Serve.stats server in
       let disp = Serve.disposition server in
-      let symbolic = Serve.symbolic server ~model:entry.name in
       let pool_sizes = Serve.context_pool_sizes server in
       if stats.Serve.padded_rows <> 0 then
         failwith
@@ -286,27 +277,20 @@ let continuous_leg (entry : Astitch_workloads.Zoo.entry) =
       if disp.Serve.lost <> 0 then
         failwith
           (Printf.sprintf "%s: %d requests lost" entry.name disp.Serve.lost);
-      if symbolic then begin
-        if stats.Serve.plan_compiles <> 1 then
+      if stats.Serve.plan_compiles <> 1 then
+        failwith
+          (Printf.sprintf "%s: %d plan compiles (want 1)" entry.name
+             stats.Serve.plan_compiles);
+      (match pool_sizes with
+      | [ (_, 1) ] -> ()
+      | _ ->
           failwith
-            (Printf.sprintf
-               "%s: %d plan compiles for a shape-polymorphic model (want 1)"
-               entry.name stats.Serve.plan_compiles);
-        match pool_sizes with
-        | [ (_, 1) ] -> ()
-        | _ ->
-            failwith
-              (Printf.sprintf "%s: context pool is not a single context"
-                 entry.name)
-      end;
+            (Printf.sprintf "%s: context pool is not a single context"
+               entry.name));
       Printf.printf
-        "continuous %-12s OK: %d odd-size batches, 0 padded rows, %d plan \
-         compile%s, pool %s [%s]\n"
-        entry.name stats.Serve.batches stats.Serve.plan_compiles
-        (if stats.Serve.plan_compiles = 1 then "" else "s")
-        (String.concat "+"
-           (List.map (fun (_, n) -> string_of_int n) pool_sizes))
-        (if symbolic then "symbolic" else "fixed"))
+        "continuous %-12s OK: %d odd-size batches, 0 padded rows, 1 plan \
+         compile, pool 1\n"
+        entry.name stats.Serve.batches)
 
 (* --- Reporting ----------------------------------------------------------- *)
 
@@ -319,18 +303,17 @@ let print_table rows =
         (if r.workers = 0 then " [caller-runs]" else "")
   | [] -> ());
   Printf.printf
-    "%-12s %8s %12s %12s %12s %12s %8s %8s %10s %6s %8s %5s %9s %9s %9s\n"
+    "%-12s %8s %12s %12s %12s %12s %8s %8s %10s %6s %8s %9s %9s %9s\n"
     "workload" "requests" "seq-wall-us" "seq-rps" "serve-wall" "serve-rps"
-    "speedup" "batches" "mean-batch" "padded" "compiles" "plan" "lat-p50"
+    "speedup" "batches" "mean-batch" "padded" "compiles" "lat-p50"
     "lat-p95" "lat-p99";
   List.iter
     (fun r ->
       Printf.printf
         "%-12s %8d %12.0f %12.1f %12.0f %12.1f %7.2fx %8d %10.2f %6d %8d \
-         %5s %9.0f %9.0f %9.0f\n"
+         %9.0f %9.0f %9.0f\n"
         r.name r.requests r.seq_wall_us r.seq_rps r.serve_wall_us r.serve_rps
         r.speedup r.batches r.mean_batch r.padded_rows r.plan_compiles
-        (if r.symbolic then "sym" else "fixed")
         r.lat_p50_us r.lat_p95_us r.lat_p99_us)
     rows
 
@@ -357,7 +340,6 @@ let write_json ~path ~quick rows =
       p "      \"mean_batch\": %.2f,\n" r.mean_batch;
       p "      \"padded_rows\": %d,\n" r.padded_rows;
       p "      \"plan_compiles\": %d,\n" r.plan_compiles;
-      p "      \"symbolic\": %b,\n" r.symbolic;
       p "      \"latency_p50_us\": %.1f,\n" r.lat_p50_us;
       p "      \"latency_p95_us\": %.1f,\n" r.lat_p95_us;
       p "      \"latency_p99_us\": %.1f,\n" r.lat_p99_us;
@@ -447,8 +429,8 @@ let check ~label base rows =
             r.speedup
           :: !failures)
     rows;
-  (* continuous batching never pads, and a shape-polymorphic model
-     compiles exactly one plan however many batch sizes it served *)
+  (* continuous batching never pads, and every model compiles exactly
+     one plan however many batch sizes it served *)
   List.iter
     (fun r ->
       if r.padded_rows <> 0 then
@@ -456,11 +438,10 @@ let check ~label base rows =
           Printf.sprintf "%s: %d padded rows executed (want 0)" r.name
             r.padded_rows
           :: !failures;
-      if r.symbolic && r.plan_compiles <> 1 then
+      if r.plan_compiles <> 1 then
         failures :=
-          Printf.sprintf
-            "%s: %d plan compiles for a shape-polymorphic model (want 1)"
-            r.name r.plan_compiles
+          Printf.sprintf "%s: %d plan compiles (want 1)" r.name
+            r.plan_compiles
           :: !failures)
     rows;
   match !failures with
@@ -485,7 +466,7 @@ let run ?(quick = false) ?(out = "BENCH_serve.json") ?baseline () =
   in
   print_table rows;
   (* the continuous-batching contract, exercised at odd sizes: raises
-     on any padded row, lost request, or extra symbolic-model compile *)
+     on any padded row, lost request, or extra plan compile *)
   List.iter continuous_leg Astitch_workloads.Zoo.all;
   write_json ~path:out ~quick rows;
   Option.iter (fun (label, b) -> check ~label b rows) base

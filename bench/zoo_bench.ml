@@ -121,7 +121,7 @@ let run_leg ~label ~load ~workers ~arrival ~requests ~deadline_us =
   in
   let zoo = Zoo.create ~config (registrations ~deadline_us) in
   Fun.protect
-    ~finally:(fun () -> ignore (Zoo.shutdown zoo))
+    ~finally:(fun () -> Zoo.shutdown zoo)
     (fun () ->
       ignore (Zoo.prewarm zoo);
       let server = Zoo.server zoo in
@@ -221,10 +221,10 @@ let store_leg ~workers ~deadline_us =
   in
   let cold_zoo = mk () in
   let cold, cold_ms = time (fun () -> Zoo.prewarm cold_zoo) in
-  ignore (Zoo.shutdown cold_zoo);
+  Zoo.shutdown cold_zoo;
   let warm_zoo = mk () in
   let warm, warm_ms = time (fun () -> Zoo.prewarm warm_zoo) in
-  ignore (Zoo.shutdown warm_zoo);
+  Zoo.shutdown warm_zoo;
   (* best-effort cleanup of the throwaway store *)
   (try
      Array.iter

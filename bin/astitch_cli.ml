@@ -846,7 +846,7 @@ let chaos_plans seed =
     Fault.runtime_sites
 
 let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
-    arrival deadline_us verify_every seed arch fused trace metrics chaos
+    arrival deadline_us verify_every seed arch trace metrics chaos
     injects retry_budget breaker_threshold check blame stats_json recorder =
   match resolve_serve_models models with
   | Error e -> `Error (false, e)
@@ -883,7 +883,6 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
                     queue_depth;
                     default_deadline_us = deadline_us;
                     arch;
-                    fused;
                     verify_every;
                     seed;
                     retry_budget;
@@ -899,13 +898,6 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
                   n_models
                   (if n_models = 1 then "" else "s")
                   workers max_batch max_wait_us queue_depth;
-                List.iter
-                  (fun (m : Serve.model) ->
-                    Printf.printf "  %s: %s\n%!" m.Serve.name
-                      (if Serve.symbolic server ~model:m.Serve.name then
-                         "shape-polymorphic (1 plan, any batch size)"
-                       else "fixed-extent (1 plan per batch size)"))
-                  models;
                 if fault_plans <> [] then
                   Printf.printf "chaos: %s\n%!"
                     (String.concat " "
@@ -1149,8 +1141,8 @@ let count_compile_spans records =
     0 records
 
 let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
-    max_wait_us queue_depth requests arrival fair_share_floor seed arch fused
-    trace metrics expect_warm check =
+    max_wait_us queue_depth requests arrival fair_share_floor seed arch trace
+    metrics expect_warm check =
   let names = if names = [] then [ "CRNN"; "ASR"; "DIEN" ] else names in
   match (resolve_serve_models names, parse_slo_specs slo_specs) with
   | Error e, _ | _, Error e -> `Error (false, e)
@@ -1191,7 +1183,6 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                       max_wait_us;
                       queue_depth;
                       arch;
-                      fused;
                       seed;
                       fair_share_floor;
                     };
@@ -1216,11 +1207,8 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                     | Some d -> Printf.sprintf ", plan-dir %s" d);
                   List.iter
                     (fun ((m : Serve.model), slo) ->
-                      Printf.printf "  %-12s %-16s %s\n%!" m.Serve.name
-                        (Slo.to_string slo)
-                        (if Serve.symbolic server ~model:m.Serve.name then
-                           "shape-polymorphic"
-                         else "fixed-extent"))
+                      Printf.printf "  %-12s %s\n%!" m.Serve.name
+                        (Slo.to_string slo))
                     registrations;
                   let t_pre = Unix.gettimeofday () in
                   let p = Zoo.prewarm zoo in
@@ -1287,7 +1275,7 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                     tickets;
                   let records = Astitch_obs.Trace.recorder_uninstall () in
                   let traffic_compiles = count_compile_spans records in
-                  let saved_at_shutdown = Zoo.shutdown zoo in
+                  Zoo.shutdown zoo;
                   let s = Serve.stats server in
                   let d = Serve.disposition server in
                   Printf.printf "admitted %d  rejected %d  shed %d\n"
@@ -1302,8 +1290,6 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                   Printf.printf
                     "compile-phase spans during traffic: %d\n"
                     traffic_compiles;
-                  Printf.printf "plans saved at shutdown: %d\n"
-                    saved_at_shutdown;
                   Printf.printf "wall %.3fs  throughput %.1f req/s\n" wall
                     (float_of_int !done_n /. Float.max wall 1e-9);
                   Printf.printf
@@ -1560,9 +1546,9 @@ let serve_cmd =
   let max_batch_arg =
     Arg.(value & opt int 8 & info [ "max-batch" ] ~docv:"N"
            ~doc:"Largest batch a dispatch may take.  Batches execute at \
-                 exactly their request count (no padding): \
-                 shape-polymorphic models compile once at this size and \
-                 rebind to any smaller batch.")
+                 exactly their request count (no padding): every model \
+                 compiles once at this size and rebinds to any smaller \
+                 batch.")
   in
   let max_wait_arg =
     Arg.(value & opt float 2000. & info [ "max-wait-us" ] ~docv:"US"
@@ -1656,7 +1642,7 @@ let serve_cmd =
       ret
         (const serve_cmd_impl $ models_arg $ workers_arg $ max_batch_arg
        $ max_wait_arg $ queue_depth_arg $ requests_arg $ arrival_arg
-       $ deadline_arg $ verify_arg $ seed_arg $ arch_arg $ fused_arg
+       $ deadline_arg $ verify_arg $ seed_arg $ arch_arg
        $ trace_arg $ metrics_arg $ chaos_arg $ inject_arg
        $ retry_budget_arg $ breaker_arg $ check_arg $ blame_arg
        $ stats_json_arg $ recorder_arg))
@@ -1678,11 +1664,10 @@ let zoo_cmd =
   let plan_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "plan-dir" ] ~docv:"DIR"
-             ~doc:"Persistent plan store: prewarm loads each model's plans \
-                   from DIR instead of compiling (saving fresh compiles \
-                   back), and shutdown persists everything compiled since. \
-                   A restart against the same DIR reports \"cold compiles: \
-                   0\".")
+             ~doc:"Persistent plan store: prewarm loads each model's \
+                   max-batch plan from DIR instead of compiling (saving \
+                   fresh compiles back).  A restart against the same DIR \
+                   reports \"cold compiles: 0\".")
   in
   let verify_plans_arg =
     Arg.(value & flag
@@ -1756,7 +1741,7 @@ let zoo_cmd =
         (const zoo_cmd_impl $ models_arg $ slo_arg $ plan_dir_arg
        $ verify_plans_arg $ workers_arg $ max_batch_arg $ max_wait_arg
        $ queue_depth_arg $ requests_arg $ arrival_arg $ floor_arg
-       $ seed_arg $ arch_arg $ fused_arg $ trace_arg $ metrics_arg
+       $ seed_arg $ arch_arg $ trace_arg $ metrics_arg
        $ expect_warm_arg $ check_arg))
 
 let main =

@@ -94,15 +94,6 @@ let length t = locked t (fun () -> Hashtbl.length t.table)
 let capacity t = t.capacity
 let stats t = locked t (fun () -> t.stats)
 
-(* Iteration snapshots the table under the lock and releases it before
-   handing entries to the caller: [f] may be slow (the plan store
-   serializes each plan to disk) and must not stall serving lookups. *)
-let entries t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k e acc -> (k, e.value) :: acc) t.table [])
-
-let fold f init t = List.fold_left (fun acc (k, v) -> f acc k v) init (entries t)
-
 let pp_stats ppf s =
   Format.fprintf ppf
     "%d hits, %d misses, %d insertions, %d evictions, %d bypasses, %d removals"

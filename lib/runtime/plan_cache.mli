@@ -66,16 +66,6 @@ val length : 'a t -> int
 val capacity : 'a t -> int
 val stats : 'a t -> stats
 
-val entries : 'a t -> (string * 'a) list
-(** Snapshot of all (key, value) pairs, in unspecified order.  Taken
-    under the lock, returned outside it: safe to consume slowly (the
-    plan store's save path serializes each entry to disk) without
-    stalling concurrent lookups.  Does not touch recency or stats. *)
-
-val fold : ('acc -> string -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** [fold f init t] folds [f] over a snapshot of the entries
-    (see {!entries}); iteration order is unspecified. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 (** Render all six counters (including [removals]) on one line, so
     [length = insertions - evictions - removals] can be read off the

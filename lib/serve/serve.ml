@@ -4,15 +4,13 @@
    its shared weights deterministically from the config seed (a served
    model's weights do not change between requests - only per-request
    parameters do), and spins up the scheduler plus worker pool.  Each
-   builder is also classified for SHAPE POLYMORPHISM
-   ([Batch_axis.analyze], cross-checked at [max_batch] by
-   [validate_at]): a symbolic model compiles one plan at [max_batch]
-   and serves every batch size 1..max on that single context by prefix
-   rebinding; a rejected one (batch axis not outermost, etc.) serves
-   fixed-extent contexts per exact size.  Either way batches execute at
-   exactly their request count - no padded rows.  After that the
-   surface is small: [submit]/[submit_async] with per-request bindings,
-   [drain] to flush, [shutdown] to stop, [stats] to look.
+   builder must also be SHAPE-POLYMORPHIC ([Batch_axis.analyze],
+   cross-checked at [max_batch] by [validate_at]): it compiles one plan
+   at [max_batch] and serves every batch size 1..max on that single
+   context by prefix rebinding, so batches execute at exactly their
+   request count - no padded rows.  After that the surface is small:
+   [submit]/[submit_async] with per-request bindings, [drain] to flush,
+   [shutdown] to stop, [stats] to look.
 
    Admission control is the submit path: a request either comes back
    with a ticket (its outcome will land) or with the structured
@@ -32,7 +30,6 @@ type config = {
   queue_depth : int;  (** admission-control bound, across models *)
   default_deadline_us : float option;  (** relative; [None] = no deadline *)
   arch : Astitch_simt.Arch.t;
-  fused : bool;
   cache_capacity : int;
   verify_every : int;  (** bit-identity spot checks; 0 = off *)
   seed : int;  (** shared-weight generation *)
@@ -57,7 +54,6 @@ let default_config =
     queue_depth = 64;
     default_deadline_us = None;
     arch = Astitch_simt.Arch.v100;
-    fused = true;
     cache_capacity = 64;
     verify_every = 0;
     seed = 42;
@@ -85,26 +81,27 @@ type t = {
 let model_seed ~seed name =
   seed + (Hashtbl.hash name land 0xffff)
 
-(* Decide whether a builder family can be served shape-polymorphically:
-   the node-level batch-axis classification must succeed on the {1,2}
-   diff AND hold at [max_batch] (catching locally-linear families).
-   Rejected families are served fixed-extent - correct either way, just
-   one compile per distinct batch size instead of one per model. *)
-let decide_mode ~max_batch (m : model) =
-  let g1 = m.build ~batch:1 and g2 = m.build ~batch:2 in
-  match Batch_axis.analyze ~g1 ~g2 with
-  | Error _ -> Worker_pool.Fixed
-  | Ok cls -> (
-      if max_batch <= 2 then
-        Worker_pool.Symbolic { Batch_axis.max_batch; cls }
-      else
-        match
+(* A builder family is served only shape-polymorphically: the
+   node-level batch-axis classification must succeed on the {1,2} diff
+   AND hold at [max_batch] (catching locally-linear families).  A
+   family that fails is refused with the analyzer's first reason. *)
+let batch_plan ~max_batch (m : model) =
+  let g1 = m.build ~batch:1 in
+  let classified =
+    Result.bind (Batch_axis.analyze ~g1 ~g2:(m.build ~batch:2)) (fun cls ->
+        if max_batch <= 2 then Ok cls
+        else
           Batch_axis.validate_at cls ~base:g1
             ~at:(m.build ~batch:max_batch)
             ~batch:max_batch
-        with
-        | Ok () -> Worker_pool.Symbolic { Batch_axis.max_batch; cls }
-        | Error _ -> Worker_pool.Fixed)
+          |> Result.map (fun () -> cls))
+  in
+  match classified with
+  | Ok cls -> { Batch_axis.max_batch; cls }
+  | Error reason ->
+      invalid_arg
+        (Printf.sprintf "Serve.create: model %s is not shape-polymorphic: %s"
+           m.name reason)
 
 let create ?(config = default_config) models =
   if models = [] then invalid_arg "Serve.create: no models";
@@ -124,11 +121,9 @@ let create ?(config = default_config) models =
         {
           Worker_pool.spec;
           shared;
-          max_batch = config.max_batch;
+          batch_plan = batch_plan ~max_batch:config.max_batch m;
           mu = Mutex.create ();
-          mode = decide_mode ~max_batch:config.max_batch m;
-          sym_ctxs = ref [];
-          fixed_ctxs = Hashtbl.create 4;
+          ctxs = ref [];
         })
     models;
   let policy =
@@ -149,7 +144,7 @@ let create ?(config = default_config) models =
   let cache = Session.make_cache ~capacity:config.cache_capacity () in
   let pool =
     Worker_pool.create ~scheduler ~models:table ~cache ~arch:config.arch
-      ~fused:config.fused ~verify_every:config.verify_every
+      ~verify_every:config.verify_every
       ~retry_budget:config.retry_budget
       ~wedge_timeout_us:config.wedge_timeout_us
       ~restart_backoff_us:config.restart_backoff_us ~workers:config.workers
@@ -172,19 +167,6 @@ let model_state t name =
   | None -> invalid_arg (Printf.sprintf "Serve: unknown model %s" name)
 
 let spec t ~model = (model_state t model).Worker_pool.spec
-
-(* True when [model] serves every batch size off one max-batch context
-   (the shape-polymorphic path); false for fixed-extent fallback. *)
-let symbolic t ~model =
-  let m = model_state t model in
-  Mutex.lock m.Worker_pool.mu;
-  let r =
-    match m.Worker_pool.mode with
-    | Worker_pool.Symbolic _ -> true
-    | Worker_pool.Fixed -> false
-  in
-  Mutex.unlock m.Worker_pool.mu;
-  r
 
 let warm t = Worker_pool.warm t.pool
 let plan_cache t = Worker_pool.plan_cache t.pool

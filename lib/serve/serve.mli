@@ -6,10 +6,9 @@
     request count, any size up to [max_batch], with zero padded rows -
     on a pool of worker domains with reused executor contexts, and
     hands back per-request outputs bit-identical to solo execution.
-    Builders that pass the batch-axis analysis compile ONE
-    shape-polymorphic plan per model (at [max_batch]) and serve every
-    batch size on it by prefix rebinding; the rest fall back to
-    fixed-extent contexts per exact size.  Admission is bounded: past
+    Every model compiles ONE shape-polymorphic plan (at [max_batch])
+    and serves every batch size on it by prefix rebinding.  Admission
+    is bounded: past
     [queue_depth] the server answers [Overloaded] instead of queuing. *)
 
 open Astitch_ir
@@ -18,7 +17,8 @@ open Astitch_tensor
 type model = {
   name : string;
   build : batch:int -> Graph.t;
-      (** must be batchable per [Batching.analyze] *)
+      (** must be batchable per [Batching.analyze] and
+          shape-polymorphic per [Batch_axis.analyze] *)
 }
 
 type config = {
@@ -32,7 +32,6 @@ type config = {
   queue_depth : int;  (** admission-control bound, across models *)
   default_deadline_us : float option;  (** relative; [None] = no deadline *)
   arch : Astitch_simt.Arch.t;
-  fused : bool;
   cache_capacity : int;  (** shared plan cache entries *)
   verify_every : int;  (** bit-identity spot checks; 0 = off *)
   seed : int;  (** shared-weight generation *)
@@ -68,27 +67,29 @@ type config = {
 
 val default_config : config
 (** 2 workers, max_batch 8, 2ms window, depth 64, no deadline, v100,
-    fused, cache 64, no verification, seed 42; retry budget 2, breaker
+    cache 64, no verification, seed 42; retry budget 2, breaker
     threshold 4 / cooldown 5ms, wedge timeout 50ms, restart backoff
     1ms; no SLOs (legacy FIFO scheduling), fair-share floor 1/8. *)
 
 type t
 
 val create : ?config:config -> model list -> t
-(** Analyze every builder for batchability, fix shared weights
-    deterministically, spawn the workers.
+(** Analyze every builder for batchability and shape polymorphism, fix
+    shared weights deterministically, spawn the workers.
     @raise Batching.Not_batchable if a builder cannot batch.
-    @raise Invalid_argument on duplicate or empty model lists. *)
+    @raise Invalid_argument on duplicate or empty model lists, or when a
+    builder is not shape-polymorphic (the message names the model and
+    the analyzer's first node-level reason). *)
 
 val warm : t -> unit
-(** Pre-compile every model so first requests don't pay compile
-    latency: the single max-batch context for a shape-polymorphic
-    model, batch-1 and max-batch contexts for a fixed-extent one. *)
+(** Pre-compile every model's single max-batch context so first
+    requests don't pay compile latency.
+    @raise Invalid_argument if a model's context cannot rebind to
+    smaller batches (names the model and its reference-path kernels). *)
 
 val plan_cache : t -> Astitch_runtime.Session.cache
 (** The server's shared session cache.  Zoo prewarming seeds it with
-    store-loaded plans (so [warm] hits instead of compiling) and
-    persists it on shutdown. *)
+    store-loaded plans (so [warm] hits instead of compiling). *)
 
 type ticket = int
 
@@ -126,16 +127,10 @@ val random_request : t -> model:string -> seed:int -> (string * Tensor.t) list
 
 val spec : t -> model:string -> Batching.spec
 
-val symbolic : t -> model:string -> bool
-(** True when [model] serves every batch size off one shape-polymorphic
-    max-batch context; false when it fell back to fixed-extent
-    compilation (batch-axis analysis rejected the builder, or its
-    context couldn't rebind). *)
-
 val context_pool_sizes : t -> (string * int) list
 (** Free pooled executor contexts per model, sorted by name.  After a
-    drain on a single-worker (or caller-runs) server, a symbolic model
-    holds exactly 1. *)
+    drain on a single-worker (or caller-runs) server, every model holds
+    exactly 1. *)
 
 val shared_weights : t -> model:string -> (string * Tensor.t) list
 (** The weights the server fixed at load time - what a reference solo
@@ -170,8 +165,8 @@ type stats = {
           this at 0 - it is surfaced (rather than assumed) so any
           regression shows up in every stats consumer *)
   plan_compiles : int;
-      (** plan compiles performed at context checkout; one per
-          shape-polymorphic model in steady state *)
+      (** plan compiles performed at context checkout; one per model
+          in steady state *)
   outstanding : int;
   queue_depth : int;
   max_depth_seen : int;

@@ -1,15 +1,13 @@
 (* Domain worker pool: turns scheduled batches into outcomes.
 
    Each worker is an OCaml 5 domain looping on [Scheduler.next_batch].
-   Execution state is pooled PER MODEL: a batchable builder compiles
+   Execution state is pooled PER MODEL: every served builder compiles
    once at [max_batch] into a shape-polymorphic context (the plan
    carries its [Batch_axis.plan]), and every batch - whatever its size,
    3 or 7 or 8 - executes on that one context via
    [Executor.run_context ~batch:n] with zero padded rows and zero
-   recompilation.  Builders the batch-axis analysis rejects (batch axis
-   not outermost, batch-collapsing ops) fall back to fixed-extent
-   serving: one context per exact batch size, still zero padding.
-   Contexts are NOT concurrent-safe (they reuse buffers across runs),
+   recompilation.  Contexts are NOT concurrent-safe (they reuse buffers
+   across runs),
    hence the free lists: two workers serving the same model
    simultaneously each get their own context, and the pool grows to the
    observed concurrency - steady state for a single-worker (or
@@ -47,23 +45,14 @@ open Astitch_obs
 module Fault_site = Astitch_plan.Fault_site
 module Kernel_plan = Astitch_plan.Kernel_plan
 
-type mode =
-  | Symbolic of Batch_axis.plan
-      (** one context compiled at [max_batch] serves every size *)
-  | Fixed  (** one context per exact batch size *)
-
 type model_state = {
   spec : Batching.spec;
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
-  max_batch : int;
-  mu : Mutex.t;  (** guards [mode] and both free lists *)
-  mutable mode : mode;
-      (** decided at load from the batch-axis analysis; demoted to
-          [Fixed] if the compiled context can't rebind (e.g. a kernel
-          fell back to the reference path) *)
-  sym_ctxs : Executor.context list ref;  (** free shape-polymorphic ctxs *)
-  fixed_ctxs : (int, Executor.context list ref) Hashtbl.t;
-      (** exact batch size -> free list (fixed-extent fallback) *)
+  batch_plan : Batch_axis.plan;
+      (** the classification every context compiled at
+          [batch_plan.max_batch] carries *)
+  mu : Mutex.t;  (** guards [ctxs] *)
+  ctxs : Executor.context list ref;  (** free shape-polymorphic contexts *)
 }
 
 type worker_state = W_running | W_dead | W_stopped
@@ -92,7 +81,6 @@ type t = {
   models : (string, model_state) Hashtbl.t;
   cache : Session.cache;
   arch : Astitch_simt.Arch.t;
-  fused : bool;
   verify_every : int;  (** re-check batch i vs solo when i mod n = 0 *)
   retry_budget : int;  (** failed batch executions before fallback *)
   wedge_timeout_us : float;
@@ -154,28 +142,8 @@ let model_locked m f =
 
 (* --- Context pool -------------------------------------------------------- *)
 
-(* A checked-out context plus how to return (or blame) it: [`Sym] leases
-   come from the per-model shape-polymorphic list, [`Fixed n] from the
-   exact-size free list of the fixed-extent fallback. *)
-type lease = { ctx : Executor.context; lkey : [ `Sym | `Fixed of int ] }
-
-let fixed_list m n =
-  match Hashtbl.find_opt m.fixed_ctxs n with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.add m.fixed_ctxs n l;
-      l
-
-let pop l =
-  match !l with
-  | ctx :: rest ->
-      l := rest;
-      Some ctx
-  | [] -> None
-
-let compile_for pool m ~batch =
-  let g = m.spec.Batching.build batch in
+let compile_at_max pool m =
+  let g = m.spec.Batching.build m.batch_plan.Batch_axis.max_batch in
   let result, outcome =
     Session.compile_cached pool.cache Astitch_core.Astitch.full_backend
       pool.arch g
@@ -187,61 +155,43 @@ let compile_for pool m ~batch =
   | Plan_cache.Hit -> ());
   result
 
-(* Check out a context able to execute a batch of exactly [n] requests,
-   compiling one if the free list is empty.  Compilation happens
-   OUTSIDE the model lock: two workers racing on a cold model both
-   compile (through the shared plan cache, so the expensive half is
-   shared) and both contexts join the pool.
+(* Check out a context, compiling one at [max_batch] if the free list
+   is empty; it serves every batch size by prefix rebinding.
+   Compilation happens OUTSIDE the model lock: two workers racing on a
+   cold model both compile (through the shared plan cache, so the
+   expensive half is shared) and both contexts join the pool.
 
-   A Symbolic model compiles ONCE, at [max_batch], and the context
-   serves every [n] by prefix rebinding.  If the freshly created
-   context turns out non-rebindable - a kernel fell back to the
-   reference path, which re-derives values against the full compiled
-   shapes - the model is demoted to [Fixed] and the checkout retries
-   down that path. *)
-let rec checkout pool m ~n =
-  let cached =
+   A context that cannot rebind - a kernel fell back to the reference
+   path, which re-derives values against the full compiled shapes -
+   could only serve full batches, so it is refused with the fallback
+   reasons; [warm] surfaces that before any traffic. *)
+let checkout pool m ~model =
+  match
     model_locked m (fun () ->
-        match m.mode with
-        | Symbolic _ ->
-            Option.map (fun ctx -> { ctx; lkey = `Sym }) (pop m.sym_ctxs)
-        | Fixed ->
-            Option.map
-              (fun ctx -> { ctx; lkey = `Fixed n })
-              (pop (fixed_list m n)))
-  in
-  match cached with
-  | Some lease -> lease
-  | None -> (
-      match model_locked m (fun () -> m.mode) with
-      | Symbolic pb ->
-          let result = compile_for pool m ~batch:m.max_batch in
-          let plan = { result.Session.plan with Kernel_plan.batch = Some pb } in
-          let ctx = Executor.create_context ~fused:pool.fused plan in
-          if Executor.rebindable ctx then { ctx; lkey = `Sym }
-          else begin
-            model_locked m (fun () -> m.mode <- Fixed);
-            checkout pool m ~n
-          end
-      | Fixed ->
-          let result = compile_for pool m ~batch:n in
-          let ctx =
-            Executor.create_context ~fused:pool.fused result.Session.plan
-          in
-          { ctx; lkey = `Fixed n })
+        match !(m.ctxs) with
+        | ctx :: rest ->
+            m.ctxs := rest;
+            Some ctx
+        | [] -> None)
+  with
+  | Some ctx -> ctx
+  | None ->
+      let result = compile_at_max pool m in
+      let ctx =
+        Executor.create_context
+          { result.Session.plan with Kernel_plan.batch = Some m.batch_plan }
+      in
+      if not (Executor.rebindable ctx) then
+        invalid_arg
+          (Printf.sprintf "Serve: model %s: max-batch context cannot rebind (%s)"
+             model
+             (String.concat "; "
+                (List.map
+                   (fun (k, why) -> k ^ ": " ^ why)
+                   (Executor.context_fallbacks ctx))));
+      ctx
 
-let checkin m lease =
-  model_locked m (fun () ->
-      match lease.lkey with
-      | `Sym -> (
-          (* a demotion may have raced this lease; a symbolic context
-             under Fixed mode would never be popped again, so drop it *)
-          match m.mode with
-          | Symbolic _ -> m.sym_ctxs := lease.ctx :: !(m.sym_ctxs)
-          | Fixed -> ())
-      | `Fixed n ->
-          let l = fixed_list m n in
-          l := lease.ctx :: !l)
+let checkin m ctx = model_locked m (fun () -> m.ctxs := ctx :: !(m.ctxs))
 
 (* A context a fault touched never rejoins the pool, and the plan it
    was compiled from is evicted from the shared cache: the next
@@ -250,13 +200,10 @@ let checkin m lease =
    (Contexts rewrite every buffer on each run, so this is deliberately
    conservative - the cost is one recompile, the alternative is ever
    having served numerics from a suspect context.) *)
-let quarantine pool m ~model ~reason lease =
-  ignore (lease.ctx : Executor.context);
+let quarantine pool m ~model ~reason =
   Atomic.incr pool.n_quarantined;
   Metrics.inc pool.m_quarantine;
-  let compiled_at =
-    match lease.lkey with `Sym -> m.max_batch | `Fixed n -> n
-  in
+  let compiled_at = m.batch_plan.Batch_axis.max_batch in
   let attrs =
     if Trace.active () then
       [
@@ -276,13 +223,6 @@ let quarantine pool m ~model ~reason lease =
            (m.spec.Batching.build compiled_at)));
   if Trace.active () then ignore (Flight.incident ~attrs ~reason:"quarantine" ())
 
-(* Execute a lease at batch size [n]: symbolic contexts rebind to the
-   prefix, fixed contexts were compiled at exactly [n] already. *)
-let run_lease lease ~n params =
-  match lease.lkey with
-  | `Sym -> Executor.run_context ~batch:n lease.ctx ~params
-  | `Fixed _ -> Executor.run_context lease.ctx ~params
-
 (* --- Serving one batch --------------------------------------------------- *)
 
 let bitwise_equal a b =
@@ -297,31 +237,14 @@ let bitwise_equal a b =
    batch 1 and compare against its slice of the batched outputs.  A
    mismatch means a row-dependent builder slipped past analysis - that
    is a server bug, not a request failure, so it raises (and the batch
-   goes down the recovery path, which is trivially identical).  A
-   symbolic lease verifies on the SAME context rebound to batch 1 - the
-   polymorphism makes the check free of extra compilation; a fixed
-   lease checks out a batch-1 context (a solo run that raises
-   quarantines it). *)
-let verify_first pool m ~model (lease : lease) (req : Request.t) sliced =
-  let check solo =
-    if not (List.for_all2 bitwise_equal solo sliced) then
-      failwith "batched outputs diverge from solo execution";
-    Metrics.inc pool.m_verified
-  in
-  match lease.lkey with
-  | `Sym ->
-      check
-        (Executor.run_context ~batch:1 lease.ctx
-           ~params:(m.shared @ req.params))
-  | `Fixed _ -> (
-      let l1 = checkout pool m ~n:1 in
-      match run_lease l1 ~n:1 (m.shared @ req.params) with
-      | solo ->
-          checkin m l1;
-          check solo
-      | exception e ->
-          quarantine pool m ~model ~reason:"verify-solo-failure" l1;
-          raise e)
+   goes down the recovery path, which is trivially identical).  It runs
+   on the SAME context rebound to batch 1 - the polymorphism makes the
+   check free of extra compilation. *)
+let verify_first pool m ctx (req : Request.t) sliced =
+  let solo = Executor.run_context ~batch:1 ctx ~params:(m.shared @ req.params) in
+  if not (List.for_all2 bitwise_equal solo sliced) then
+    failwith "batched outputs diverge from solo execution";
+  Metrics.inc pool.m_verified
 
 let complete_done pool ~t_done ~batch_size ~degraded (req : Request.t) outputs
     =
@@ -426,9 +349,8 @@ let serve_batch pool (batch : Scheduler.batch) =
   let seq = Atomic.fetch_and_add pool.batch_counter 1 in
   Metrics.inc pool.m_batches;
   Metrics.observe pool.m_batch_size (float_of_int n);
-  (* Continuous batching packs exactly [n] rows - symbolic contexts
-     rebind to the prefix, fixed ones compile at [n] - so the padded
-     count is 0 by construction.  The accounting stays wired to the
+  (* Continuous batching packs exactly [n] rows and the context rebinds
+     to that prefix, so the padded count is 0 by construction.  The accounting stays wired to the
      actual pack extent so any future padding would surface instead of
      hiding. *)
   let exec_rows = n in
@@ -452,16 +374,16 @@ let serve_batch pool (batch : Scheduler.batch) =
             Trace.flow_step ~phase:"serve" r.trace "request"
               ~attrs:[ ("id", Trace.Int r.id) ])
           batch.requests;
-      (* The lease is tracked outside the happy path so the failure
-         handler knows whether there is one to quarantine.  Lifecycle
+      (* Whether a context is checked out is tracked outside the happy
+         path so the failure handler knows whether to quarantine it.  Lifecycle
          stages run under child spans; an exception anywhere leaves the
          open child to the batch span's auto-close. *)
-      let held = ref None in
+      let held = ref false in
       match
         let cid = Trace.span_begin ~phase:"serve" "checkout" in
-        let lease = checkout pool m ~n in
+        let ctx = checkout pool m ~model:batch.model in
         Trace.span_end cid;
-        held := Some lease;
+        held := true;
         (* Snapshot AFTER checkout: a compile-site fault firing during
            a cold-model compile surfaces as a compile error, not as
            corrupt execution, and must not poison this batch. *)
@@ -474,10 +396,12 @@ let serve_batch pool (batch : Scheduler.batch) =
         in
         Trace.span_end pid;
         let t_exec = now_us () in
-        (* [run_lease] opens the executor's own "run-context" span; it
+        (* [run_context] opens the executor's own "run-context" span; it
            nests under this batch span via the domain stack, so the
            per-kernel exec spans are already parented correctly. *)
-        let outputs = run_lease lease ~n (m.shared @ packed) in
+        let outputs =
+          Executor.run_context ~batch:n ctx ~params:(m.shared @ packed)
+        in
         let t_unpack = now_us () in
         let uid = Trace.span_begin ~phase:"serve" "unpack" in
         let per_request = Batching.unpack m.spec ~count:n outputs in
@@ -486,7 +410,7 @@ let serve_batch pool (batch : Scheduler.batch) =
            match (batch.requests, per_request) with
            | req :: _, sliced :: _ ->
                Trace.with_span ~phase:"serve" "verify" (fun () ->
-                   verify_first pool m ~model:batch.model lease req sliced)
+                   verify_first pool m ctx req sliced)
            | _ -> ());
         (* Corrupt-mode faults don't raise - they silently perturb
            numerics.  Any site that fired during this batch poisons it:
@@ -495,8 +419,8 @@ let serve_batch pool (batch : Scheduler.batch) =
            to solo execution. *)
         if Fault_site.fired () > fired0 then
           failwith "fault fired during batch execution";
-        checkin m lease;
-        held := None;
+        checkin m ctx;
+        held := false;
         (per_request, t_pack, t_exec, t_unpack)
       with
       | per_request, t_pack, t_exec, t_unpack ->
@@ -510,11 +434,8 @@ let serve_batch pool (batch : Scheduler.batch) =
           Scheduler.note_batch_result pool.scheduler ~model:batch.model
             ~ok:true
       | exception _ ->
-          (match !held with
-          | Some lease ->
-              quarantine pool m ~model:batch.model ~reason:"batch-failure"
-                lease
-          | None -> ());
+          if !held then
+            quarantine pool m ~model:batch.model ~reason:"batch-failure";
           if Trace.active () then
             ignore
               (Flight.incident ~reason:"batch-failure"
@@ -744,7 +665,7 @@ let monitor_body pool () =
 
 (* --- Pool lifecycle ------------------------------------------------------ *)
 
-let create ~scheduler ~models ~cache ~arch ~fused ~verify_every ~retry_budget
+let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
     ~wedge_timeout_us ~restart_backoff_us ~workers =
   if workers < 0 then invalid_arg "Worker_pool.create: workers must be >= 0";
   if retry_budget < 0 then
@@ -756,7 +677,6 @@ let create ~scheduler ~models ~cache ~arch ~fused ~verify_every ~retry_budget
       models;
       cache;
       arch;
-      fused;
       verify_every;
       retry_budget;
       wedge_timeout_us;
@@ -840,34 +760,12 @@ let plan_cache pool = pool.cache
 let context_counts pool =
   Hashtbl.fold
     (fun name m acc ->
-      let count =
-        model_locked m (fun () ->
-            List.length !(m.sym_ctxs)
-            + Hashtbl.fold
-                (fun _ l acc -> acc + List.length !l)
-                m.fixed_ctxs 0)
-      in
-      (name, count) :: acc)
+      (name, model_locked m (fun () -> List.length !(m.ctxs))) :: acc)
     pool.models []
   |> List.sort compare
 
 (* Pre-compile every model so the first requests don't pay compilation
-   latency (the CLI does this before the clock starts).  A symbolic
-   model needs exactly its one max-batch context; a fixed-extent model
-   warms the two sizes every server hits (solo verification/retries and
-   full batches) - other sizes compile on first use. *)
+   latency (the CLI does this before the clock starts): one max-batch
+   context per model, which serves every batch size. *)
 let warm pool =
-  Hashtbl.iter
-    (fun _ m ->
-      let sizes =
-        match model_locked m (fun () -> m.mode) with
-        | Symbolic _ -> [ m.max_batch ]
-        | Fixed ->
-            if m.max_batch = 1 then [ 1 ] else [ 1; m.max_batch ]
-      in
-      List.iter
-        (fun n ->
-          let lease = checkout pool m ~n in
-          checkin m lease)
-        sizes)
-    pool.models
+  Hashtbl.iter (fun model m -> checkin m (checkout pool m ~model)) pool.models

@@ -2,14 +2,12 @@
     under supervision.
 
     Workers are OCaml 5 domains looping on [Scheduler.next_batch].
-    Executor contexts are pooled PER MODEL: a batch-axis-analyzable
-    builder compiles once at [max_batch] into a shape-polymorphic
-    context that executes any batch size by prefix rebinding
-    ([Executor.run_context ~batch]) - zero padded rows, zero
-    recompilation.  Builders the analysis rejects fall back to
-    fixed-extent serving (one context per exact batch size, still
-    unpadded).  Contexts are not concurrent-safe, so each is owned by
-    one worker for the duration of one batch.
+    Executor contexts are pooled PER MODEL: every model compiles once
+    at [max_batch] into a shape-polymorphic context that executes any
+    batch size by prefix rebinding ([Executor.run_context ~batch]) -
+    zero padded rows, zero recompilation.  Contexts are not
+    concurrent-safe, so each is owned by one worker for the duration of
+    one batch.
 
     A monitor domain restarts dead workers (exponential backoff) and
     steals batches from wedged ones (stale heartbeat past the wedge
@@ -23,21 +21,14 @@ open Astitch_ir
 open Astitch_tensor
 open Astitch_runtime
 
-type mode =
-  | Symbolic of Batch_axis.plan
-      (** one context compiled at [max_batch] serves every size *)
-  | Fixed  (** one context per exact batch size *)
-
 type model_state = {
   spec : Batching.spec;
   shared : (string * Tensor.t) list;  (** weight bindings, fixed at load *)
-  max_batch : int;
-  mu : Mutex.t;  (** guards [mode] and both free lists *)
-  mutable mode : mode;
-      (** decided at load from [Batch_axis.analyze]; demoted to [Fixed]
-          if the compiled context can't rebind *)
-  sym_ctxs : Executor.context list ref;
-  fixed_ctxs : (int, Executor.context list ref) Hashtbl.t;
+  batch_plan : Batch_axis.plan;
+      (** from [Batch_axis.analyze] at load; every context is compiled at
+          [batch_plan.max_batch] and carries it *)
+  mu : Mutex.t;  (** guards [ctxs] *)
+  ctxs : Executor.context list ref;  (** free contexts *)
 }
 
 type t
@@ -47,7 +38,6 @@ val create :
   models:(string, model_state) Hashtbl.t ->
   cache:Session.cache ->
   arch:Astitch_simt.Arch.t ->
-  fused:bool ->
   verify_every:int ->
   retry_budget:int ->
   wedge_timeout_us:float ->
@@ -83,9 +73,10 @@ val join : t -> unit
     [Scheduler.shutdown]. *)
 
 val warm : t -> unit
-(** Pre-compile every model (hide compile latency from the first
-    requests): one max-batch context for a symbolic model, batch-1 and
-    max-batch contexts for a fixed-extent one. *)
+(** Pre-compile every model's max-batch context (hide compile latency
+    from the first requests).
+    @raise Invalid_argument naming the model and its reference-path
+    kernels if a context cannot rebind to smaller batches. *)
 
 val padded_rows : t -> int
 (** Padded rows executed so far.  Continuous batching packs every batch
@@ -94,17 +85,16 @@ val padded_rows : t -> int
 
 val plan_compiles : t -> int
 (** Plan compiles performed at context checkout (shared-cache misses
-    and bypasses).  One per symbolic model in steady state. *)
+    and bypasses).  One per model in steady state. *)
 
 val plan_cache : t -> Astitch_runtime.Session.cache
 (** The shared session cache behind every checkout.  Exposed so zoo
     prewarming can seed it with store-loaded plans (checkouts then hit
-    instead of compiling) and persist it on shutdown. *)
+    instead of compiling). *)
 
 val context_counts : t -> (string * int) list
-(** Free pooled contexts per model, sorted by name - symbolic and
-    fixed-extent together.  A drained single-worker server holds
-    exactly 1 per symbolic model. *)
+(** Free pooled contexts per model, sorted by name.  A drained
+    single-worker server holds exactly 1 per model. *)
 
 type supervision = {
   restarts : int;  (** worker domains respawned after a death *)

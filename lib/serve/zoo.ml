@@ -7,11 +7,11 @@
    score (latency quantiles, goodput numerators) that multi-tenant
    evaluation is judged on.
 
-   Prewarm ordering matters: plans are loaded-or-compiled and seeded
-   into the server's session cache BEFORE Serve.warm builds executor
-   contexts, so warm's checkouts hit the cache; and all of it happens
-   before the first submit is legal, so no request ever races a cold
-   compile.  On a warm store that leaves zero compile-phase spans in
+   Prewarm ordering matters: each model's one max-batch plan is
+   loaded-or-compiled and seeded into the server's session cache BEFORE
+   Serve.warm builds executor contexts, so warm's checkouts hit the
+   cache; and all of it happens before the first submit is legal, so no
+   request ever races a cold compile.  On a warm store that leaves zero compile-phase spans in
    the whole process trace - the property the CI smoke test pins. *)
 
 open Astitch_ir
@@ -120,15 +120,6 @@ let slo t ~model =
 
 (* --- Prewarm ------------------------------------------------------------- *)
 
-(* The batch sizes Worker_pool.warm will check out, and therefore the
-   exact cache slots prewarm must fill: one max-batch plan for a
-   shape-polymorphic model, batch-1 + max-batch for fixed-extent. *)
-let warm_sizes t ~model =
-  let mb = t.config.serve.Serve.max_batch in
-  if Serve.symbolic t.serve ~model then [ mb ]
-  else if mb = 1 then [ 1 ]
-  else [ 1; mb ]
-
 (* A store file names its (fingerprint, arch), but the bytes inside are
    what we trust least: before serving a loaded plan, its graph must
    re-fingerprint to the requested key, its arch must match, and the
@@ -165,23 +156,23 @@ let prewarm t =
             | Ok () -> incr saved
             | Error _ -> ()))
       in
-      let handle spec ~required n =
-        let g = spec.Batching.build n in
+      let handle (model, _slo) =
+        let spec = Serve.spec t.serve ~model in
+        let g = spec.Batching.build t.config.serve.Serve.max_batch in
         let fingerprint = Fingerprint.of_graph g in
         match t.store with
-        | None -> if required then compile_and_save g ~fingerprint
+        | None -> compile_and_save g ~fingerprint
         | Some store -> (
             match Plan_store.load store ~fingerprint ~arch:arch.name with
-            | Plan_store.Absent ->
-                if required then compile_and_save g ~fingerprint
+            | Plan_store.Absent -> compile_and_save g ~fingerprint
             | Plan_store.Rejected _ ->
                 incr rejected;
-                if required then compile_and_save g ~fingerprint
+                compile_and_save g ~fingerprint
             | Plan_store.Loaded plan ->
                 if not (structurally_ok ~fingerprint ~arch:arch.name plan)
                 then begin
                   incr rejected;
-                  if required then compile_and_save g ~fingerprint
+                  compile_and_save g ~fingerprint
                 end
                 else if t.config.verify_plans then begin
                   (* Bit-identity gate: the freshly compiled plan is
@@ -205,21 +196,7 @@ let prewarm t =
                   incr loaded
                 end)
       in
-      List.iter
-        (fun (model, _slo) ->
-          let spec = Serve.spec t.serve ~model in
-          let sizes = warm_sizes t ~model in
-          List.iter (handle spec ~required:true) sizes;
-          (* A fixed-extent model dispatches at every batch size traffic
-             happens to form, and shutdown persisted whatever sizes the
-             previous process compiled: load any of those the store
-             holds too (never compiling for sizes nobody asked about
-             yet), so a restart is warm for more than the warm list. *)
-          if t.store <> None && not (Serve.symbolic t.serve ~model) then
-            for n = 1 to t.config.serve.Serve.max_batch do
-              if not (List.mem n sizes) then handle spec ~required:false n
-            done)
-        t.registrations;
+      List.iter handle t.registrations;
       Serve.warm t.serve;
       let p =
         {
@@ -364,20 +341,6 @@ let class_stats t =
 
 let drain t = Serve.drain t.serve
 
-let shutdown t =
-  (* Persist everything compiled since prewarm (fixed-extent models pick
-     up extra batch sizes on demand) before the server goes down; the
-     next process's prewarm then loads instead of compiling them. *)
-  let saved =
-    match t.store with
-    | None -> 0
-    | Some store ->
-        let n, _failed =
-          Plan_store.save_session_cache store
-            ~backend:backend.Astitch_plan.Backend_intf.name
-            (Serve.plan_cache t.serve)
-        in
-        n
-  in
-  Serve.shutdown t.serve;
-  saved
+(* Every plan a zoo can compile is its models' max-batch plans, and
+   prewarm has already saved those: nothing is left to persist here. *)
+let shutdown t = Serve.shutdown t.serve

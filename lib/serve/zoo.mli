@@ -9,8 +9,8 @@
     per-SLO-class p99 and goodput read.
 
     The plan store closes the compile-once loop across process
-    restarts: {!prewarm} loads every registered model's plans from
-    [plan_dir] (falling back to compiling and saving them), optionally
+    restarts: {!prewarm} loads every registered model's one max-batch
+    plan from [plan_dir] (falling back to compiling and saving it), optionally
     gating each loaded plan on bit-identity against a fresh compile,
     and then warms executor contexts - all before the zoo admits any
     traffic.  A restarted zoo pointed at the same directory serves its
@@ -52,8 +52,8 @@ val create : ?config:config -> (Serve.model * Slo.t) list -> t
     @raise Invalid_argument on duplicate or empty registrations. *)
 
 val prewarm : t -> prewarm
-(** Load-or-compile every registered model's plans, then warm executor
-    contexts.  For each plan the store either hits ([loaded], gated by
+(** Load-or-compile every registered model's max-batch plan, then warm
+    executor contexts.  For each plan the store either hits ([loaded], gated by
     [verify_plans]) or the plan is compiled cold and saved back
     ([compiled], [saved]).  Idempotent; traffic is admitted after the
     first call. *)
@@ -114,7 +114,6 @@ val class_stats : t -> class_stats list
 
 val drain : t -> unit
 
-val shutdown : t -> int
-(** Drain, persist every cached plan to the store (returns how many
-    were saved; 0 without a [plan_dir]), and shut the server down.
-    Idempotent. *)
+val shutdown : t -> unit
+(** Drain and shut the server down.  Prewarm already saved every plan
+    the zoo serves, so nothing is persisted here.  Idempotent. *)

@@ -9,11 +9,15 @@
      when padding is asked for it replicates the last request;
    - symbolic batch extents: one plan compiled at max_batch rebinds to
      every smaller size bit-identically to a fresh fixed-extent
-     compile (unit, zoo, and a qcheck property on random graphs);
+     compile (unit, every zoo model, and a qcheck property on random
+     graphs);
    - continuous batching end-to-end: odd-size bursts dispatch at
-     exactly their request count on one shape-polymorphic context -
-     zero padded rows, one plan compile - and a queue that reaches
-     max_batch wakes the worker without waiting out the window;
+     exactly their request count on one shape-polymorphic context per
+     model - zero padded rows, one plan compile per model, for the mlp
+     and for all five zoo models - and a queue that reaches max_batch
+     wakes the worker without waiting out the window;
+   - the server refuses a builder whose batch axis is not outermost,
+     naming the model and the node;
    - THE serving invariant: batched execution (including padded tail
      batches) is bit-identical to running every request alone - as a
      unit test on hand builders and every zoo workload at batch
@@ -72,6 +76,14 @@ let mlp_build ~batch =
   let out = Builder.softmax b h in
   let aux = Builder.tanh b w in
   Builder.finish b ~outputs:[ out; aux ]
+
+(* Batchable, but the batch axis moves inward ([k; batch]): not
+   shape-polymorphic, so the server must refuse it. *)
+let inner_axis_build ~batch =
+  let b = Builder.create () in
+  let x = Builder.parameter b "x" [ batch; 3 ] in
+  let t = Builder.tanh b (Builder.transpose b x ~perm:[ 1; 0 ]) in
+  Builder.finish b ~outputs:[ Builder.transpose b t ~perm:[ 1; 0 ] ]
 
 (* Scales two axes with the batch: must be rejected. *)
 let two_axis_build ~batch =
@@ -361,13 +373,7 @@ let test_symbolic_rebind_mlp () =
 let test_symbolic_rebind_zoo () =
   List.iter
     (fun (e : Astitch_workloads.Zoo.entry) ->
-      let g1 = e.batched ~batch:1 and g2 = e.batched ~batch:2 in
-      match Batch_axis.analyze ~g1 ~g2 with
-      | Ok _ -> assert_symbolic_rebind ~what:e.name e.batched ~max_batch:8
-      | Error _ ->
-          (* not prefix-executable: the serving layer uses fixed-extent
-             compilation for these; nothing to assert here *)
-          ())
+      assert_symbolic_rebind ~what:e.name e.batched ~max_batch:8)
     Astitch_workloads.Zoo.all
 
 let prop_symbolic_rebind_random =
@@ -573,55 +579,71 @@ let test_caller_runs_mode () =
       check_int "all completed" (n + 1) s.completed;
       check_bool "backlog was batched" true (s.batches < n + 1))
 
-let test_continuous_exact_batches () =
-  (* Odd burst sizes through a caller-runs server with an hour-long
-     window: drain dispatches each burst as ONE batch at exactly its
-     request count.  One shape-polymorphic context serves all of them -
-     zero padded rows, one plan compile, pool size 1. *)
-  let config =
-    serve_config ~workers:0 ~max_batch:7 ~max_wait_us:3.6e9 ()
-  in
-  let server = Serve.create ~config [ mlp_model ] in
+(* Odd burst sizes (per model) through a server with an hour-long
+   window: drain dispatches each model's burst as ONE batch at exactly
+   its request count.  One shape-polymorphic context per model serves
+   all of them - zero padded rows, one plan compile and one pooled
+   context per model. *)
+let check_continuous_exact_batches ~workers (models : Serve.model list) =
+  let config = serve_config ~workers ~max_batch:7 ~max_wait_us:3.6e9 () in
+  let server = Serve.create ~config models in
   Fun.protect
     ~finally:(fun () -> Serve.shutdown server)
     (fun () ->
-      check_bool "mlp is shape-polymorphic" true
-        (Serve.symbolic server ~model:"mlp");
       List.iter
         (fun n ->
           let tickets =
-            List.init n (fun i ->
-                match
-                  Serve.submit_async server ~model:"mlp"
-                    ~params:
-                      (Serve.random_request server ~model:"mlp"
-                         ~seed:((n * 10) + i))
-                with
-                | Ok t -> t
-                | Error o ->
-                    Alcotest.failf "refused: %s" (Request.overload_to_string o))
+            List.concat_map
+              (fun (m : Serve.model) ->
+                List.init n (fun i ->
+                    match
+                      Serve.submit_async server ~model:m.name
+                        ~params:
+                          (Serve.random_request server ~model:m.name
+                             ~seed:((n * 10) + i))
+                    with
+                    | Ok t -> (m.name, t)
+                    | Error o ->
+                        Alcotest.failf "refused: %s"
+                          (Request.overload_to_string o)))
+              models
           in
           Serve.drain server;
           List.iter
-            (fun t ->
+            (fun (name, t) ->
               match Serve.poll server t with
               | Some (Request.Done { batch; _ }) ->
                   check_int
-                    (Printf.sprintf "burst of %d dispatched at exactly %d" n n)
+                    (Printf.sprintf "%s burst of %d dispatched at exactly %d"
+                       name n n)
                     n batch
-              | _ -> Alcotest.failf "burst of %d: request not completed" n)
+              | _ ->
+                  Alcotest.failf "%s burst of %d: request not completed" name n)
             tickets)
         [ 3; 5; 7; 1 ];
       let s = Serve.stats server in
+      let k = List.length models in
       check_int "zero padded rows" 0 s.padded_rows;
-      check_int "one plan compile for the symbolic model" 1 s.plan_compiles;
-      check_int "each burst was one batch" 4 s.batches;
-      match Serve.context_pool_sizes server with
-      | [ ("mlp", 1) ] -> ()
-      | sizes ->
-          Alcotest.failf "expected one pooled context, got [%s]"
-            (String.concat "; "
-               (List.map (fun (m, c) -> Printf.sprintf "%s:%d" m c) sizes)))
+      check_int "one plan compile per model" k s.plan_compiles;
+      check_int "each burst was one batch per model" (4 * k) s.batches;
+      let expected =
+        List.sort compare
+          (List.map (fun (m : Serve.model) -> (m.name, 1)) models)
+      in
+      let sizes = Serve.context_pool_sizes server in
+      if sizes <> expected then
+        Alcotest.failf "expected one pooled context per model, got [%s]"
+          (String.concat "; "
+             (List.map (fun (m, c) -> Printf.sprintf "%s:%d" m c) sizes)))
+
+(* Caller-runs over the mlp, and one worker over every zoo model. *)
+let test_continuous_exact_batches () =
+  check_continuous_exact_batches ~workers:0 [ mlp_model ];
+  check_continuous_exact_batches ~workers:1
+    (List.map
+       (fun (e : Astitch_workloads.Zoo.entry) ->
+         { Serve.name = e.name; build = e.batched })
+       Astitch_workloads.Zoo.all)
 
 let test_full_batch_dispatches_immediately () =
   (* An hour-long batching window, but the queue reaches max_batch: the
@@ -794,6 +816,21 @@ let test_poisoned_request_fails_alone () =
       check_int "one failure" 1 s.failed;
       check_int "nothing served degraded" 0 s.degraded;
       check_bool "both batchmates were retried solo" true (s.retried >= 2))
+
+let test_non_polymorphic_refused () =
+  let model = { Serve.name = "inner-axis"; build = inner_axis_build } in
+  match Serve.create ~config:(serve_config ~workers:0 ()) [ model ] with
+  | exception Invalid_argument msg ->
+      let mentions sub =
+        let n = String.length sub and len = String.length msg in
+        let rec go i = i + n <= len && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      check_bool ("message names the model: " ^ msg) true (mentions "inner-axis");
+      check_bool ("message names the node: " ^ msg) true (mentions "node %")
+  | server ->
+      Serve.shutdown server;
+      Alcotest.fail "a builder whose batch axis is not outermost was served"
 
 let test_unknown_model_rejected () =
   let server =
@@ -1309,6 +1346,8 @@ let () =
             test_poisoned_request_fails_alone;
           Alcotest.test_case "unknown model rejected" `Quick
             test_unknown_model_rejected;
+          Alcotest.test_case "non-polymorphic builder refused" `Quick
+            test_non_polymorphic_refused;
         ] );
       ( "plan-cache-domains",
         [ QCheck_alcotest.to_alcotest prop_plan_cache_domain_hammer ] );

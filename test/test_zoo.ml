@@ -290,7 +290,7 @@ let test_refuses_traffic_before_prewarm () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zoo accepted traffic before prewarm");
-  ignore (Zoo.shutdown zoo)
+  Zoo.shutdown zoo
 
 let run_some zoo n =
   let outs = ref [] in
@@ -322,7 +322,7 @@ let test_class_accounting () =
   check_int "best-effort submitted" 3 be.Zoo.submitted;
   check_int "best-effort completed" 3 be.Zoo.completed;
   check_bool "latency p99 recorded" true (lat.Zoo.p99_us > 0.);
-  ignore (Zoo.shutdown zoo)
+  Zoo.shutdown zoo
 
 let test_store_roundtrip_across_restart () =
   with_store_dir (fun dir ->
@@ -333,7 +333,7 @@ let test_store_roundtrip_across_restart () =
       check_int "cold run saved every compile" p1.Zoo.compiled p1.Zoo.saved;
       check_int "cold run loaded nothing" 0 p1.Zoo.loaded;
       let cold_outs = run_some cold 6 in
-      ignore (Zoo.shutdown cold);
+      Zoo.shutdown cold;
       (* warm zoo against the same directory: loads, compiles nothing *)
       let warm = Zoo.create ~config:(zoo_config ~plan_dir:dir ()) registrations in
       let p2 = Zoo.prewarm warm in
@@ -341,7 +341,7 @@ let test_store_roundtrip_across_restart () =
       check_int "warm restart loads every plan" p1.Zoo.saved p2.Zoo.loaded;
       check_int "warm restart rejects nothing" 0 p2.Zoo.rejected;
       let warm_outs = run_some warm 6 in
-      ignore (Zoo.shutdown warm);
+      Zoo.shutdown warm;
       (* store-served plans answer bit-identically to fresh compiles *)
       List.iter2
         (fun (m1, i1, o1) (m2, i2, o2) ->
@@ -356,7 +356,7 @@ let test_verify_gate_accepts_intact_store () =
   with_store_dir (fun dir ->
       let cold = Zoo.create ~config:(zoo_config ~plan_dir:dir ()) registrations in
       let p1 = Zoo.prewarm cold in
-      ignore (Zoo.shutdown cold);
+      Zoo.shutdown cold;
       let v =
         Zoo.create
           ~config:(zoo_config ~plan_dir:dir ~verify_plans:true ())
@@ -366,13 +366,13 @@ let test_verify_gate_accepts_intact_store () =
       check_int "every loaded plan passes the gate" p1.Zoo.saved p2.Zoo.verified;
       check_int "gate rejects nothing" 0 p2.Zoo.rejected;
       ignore (run_some v 3);
-      ignore (Zoo.shutdown v))
+      Zoo.shutdown v)
 
 let test_corrupted_store_file_recompiled () =
   with_store_dir (fun dir ->
       let cold = Zoo.create ~config:(zoo_config ~plan_dir:dir ()) registrations in
       let p1 = Zoo.prewarm cold in
-      ignore (Zoo.shutdown cold);
+      Zoo.shutdown cold;
       (* flip one payload byte in one stored plan *)
       let victim =
         match Sys.readdir dir with
@@ -398,14 +398,14 @@ let test_corrupted_store_file_recompiled () =
       check_int "the rest loaded" (p1.Zoo.saved - 1) p2.Zoo.loaded;
       (* and serving is unaffected *)
       ignore (run_some warm 6);
-      ignore (Zoo.shutdown warm))
+      Zoo.shutdown warm)
 
 let test_prewarm_idempotent () =
   let zoo = Zoo.create ~config:(zoo_config ()) registrations in
   let p1 = Zoo.prewarm zoo in
   let p2 = Zoo.prewarm zoo in
   check_bool "second prewarm is the memo" true (p1 = p2);
-  ignore (Zoo.shutdown zoo)
+  Zoo.shutdown zoo
 
 let () =
   Alcotest.run "zoo"

@@ -80,8 +80,7 @@ let corrupt_clusters seed cs =
 let clusters g =
   let n = Graph.num_nodes g in
   let depth = compute_depths g in
-  let live = Graph.live_ids g in
-  let is_clusterable g id = live.(id) && is_clusterable g id in
+  let is_clusterable g id = Graph.is_live g id && is_clusterable g id in
   let parent = Array.init n Fun.id in
   for id = 0 to n - 1 do
     if is_clusterable g id then

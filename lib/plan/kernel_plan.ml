@@ -103,23 +103,6 @@ let index_ops k : op_index =
 let find_op_in (idx : op_index) id = Hashtbl.find_opt idx id
 let find_op k id = find_op_in (index_ops k) id
 
-(* Node id -> kernel that materializes it to device memory (first in
-   execution order, as with the per-kernel index). *)
-let materializer_index t : (Op.node_id, kernel) Hashtbl.t =
-  let idx = Hashtbl.create 64 in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (o : compiled_op) ->
-          if o.placement = Device_mem && not (Hashtbl.mem idx o.id) then
-            Hashtbl.add idx o.id k)
-        k.ops)
-    t.kernels;
-  idx
-
-(* The kernel that materializes a node to device memory, if any. *)
-let producer_kernel t id = Hashtbl.find_opt (materializer_index t) id
-
 (* --- Per-op instruction counting --------------------------------------- *)
 
 (* FP32 instructions executed for one full evaluation of the op. *)
@@ -245,9 +228,9 @@ let kernel_work t (k : kernel) : Cost_model.work =
 let kernel_violations ~emit arch g (k : kernel) =
   let structure = Compile_error.Invalid_structure in
   let idx = index_ops k in
-  let live = Graph.live_ids g in
-  let live_consumers id =
-    List.filter (fun c -> live.(c)) (Graph.consumers g id)
+  (* [f] over the live consumers of [id], without a filtered copy *)
+  let iter_live_consumers f id =
+    List.iter (fun c -> if Graph.is_live g c then f c) (Graph.consumers g id)
   in
   (* 1. intra-kernel topological order and non-emptiness *)
   if k.ops = [] then
@@ -273,7 +256,7 @@ let kernel_violations ~emit arch g (k : kernel) =
   List.iter
     (fun (o : compiled_op) ->
       if o.placement = Register then
-        List.iter
+        iter_live_consumers
           (fun consumer ->
             match find_op_in idx consumer with
             | None ->
@@ -293,7 +276,7 @@ let kernel_violations ~emit arch g (k : kernel) =
                        ~ops:[ o.id; consumer ] structure
                        "node %%%d: register value fans out to %%%d without \
                         recompute or alignment" o.id consumer))
-          (live_consumers o.id))
+          o.id)
     k.ops;
   (* 6. shared-memory placement: consumers in-kernel, block-aligned, and
         total smem within the declared launch footprint *)
@@ -310,7 +293,7 @@ let kernel_violations ~emit arch g (k : kernel) =
         | Some per_block ->
             smem_bytes :=
               !smem_bytes + (per_block * Dtype.size_bytes (Graph.dtype g o.id)));
-        List.iter
+        iter_live_consumers
           (fun consumer ->
             if find_op_in idx consumer = None then
               emit
@@ -318,7 +301,7 @@ let kernel_violations ~emit arch g (k : kernel) =
                    structure
                    "node %%%d in shared memory but consumer %%%d escapes \
                     kernel %s" o.id consumer k.name))
-          (live_consumers o.id)
+          o.id
       end)
     k.ops;
   if !smem_bytes > k.launch.Launch.shared_mem_per_block then
@@ -332,7 +315,9 @@ let kernel_violations ~emit arch g (k : kernel) =
     List.exists
       (fun (o : compiled_op) ->
         o.placement = Global_scratch
-        && List.exists (fun c -> Hashtbl.mem idx c) (live_consumers o.id))
+        && List.exists
+             (fun c -> Graph.is_live g c && Hashtbl.mem idx c)
+             (Graph.consumers g o.id))
       k.ops
   in
   if needs_barrier && k.barriers = 0 then

@@ -38,12 +38,14 @@ exception Codec_error of error
 
 (* --- Checksum ------------------------------------------------------------- *)
 
-let fnv1a64 s ~pos ~len =
+let fnv1a64 (s : bytes) ~pos ~len =
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
   for i = pos to pos + len - 1 do
     h :=
-      Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) prime
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get s i))))
+        prime
   done;
   !h
 
@@ -529,17 +531,21 @@ let r_plan r : Kernel_plan.t =
 
 (* --- Entry points --------------------------------------------------------- *)
 
+(* Header, payload and checksum go into one buffer that is copied out
+   once: a full-size graph's encoding runs to hundreds of KB, and each
+   extra copy is a large allocation straight into the major heap. *)
 let encode plan =
-  let payload = Buffer.create 4096 in
-  w_plan payload plan;
-  let payload = Buffer.contents payload in
-  let b = Buffer.create (String.length payload + 24) in
+  let b = Buffer.create 4096 in
   Buffer.add_string b magic;
   Buffer.add_int64_le b (Int64.of_int version);
-  Buffer.add_int64_le b (Int64.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.add_int64_le b (fnv1a64 payload ~pos:0 ~len:(String.length payload));
-  Buffer.contents b
+  Buffer.add_int64_le b 0L (* payload length, set below *);
+  w_plan b plan;
+  let plen = Buffer.length b - 20 in
+  let out = Bytes.create (20 + plen + 8) in
+  Buffer.blit b 0 out 0 (20 + plen);
+  Bytes.set_int64_le out 12 (Int64.of_int plen);
+  Bytes.set_int64_le out (20 + plen) (fnv1a64 out ~pos:20 ~len:plen);
+  Bytes.unsafe_to_string out
 
 let decode_exn s =
   let len = String.length s in
@@ -558,8 +564,9 @@ let decode_exn s =
          (Malformed
             (Printf.sprintf "%d trailing bytes after checksum" (len - want))));
   let stored = String.get_int64_le s (20 + plen) in
-  if not (Int64.equal stored (fnv1a64 s ~pos:20 ~len:plen)) then
-    raise (Codec_error Checksum_mismatch);
+  (* read-only view: the checksum never writes *)
+  let sum = fnv1a64 (Bytes.unsafe_of_string s) ~pos:20 ~len:plen in
+  if not (Int64.equal stored sum) then raise (Codec_error Checksum_mismatch);
   let r = { src = s; limit = 20 + plen; pos = 20 } in
   let plan =
     try r_plan r with

@@ -322,18 +322,115 @@ let test_map_operands () =
   Alcotest.(check (list int)) "concat remap" [ 40; 50 ]
     (Op.operands (Op.map_operands (fun i -> i * 10) c))
 
-let test_live_ids () =
+(* --- Liveness ------------------------------------------------------------- *)
+
+(* Reference liveness: depth-first backward reachability from the outputs
+   over operand edges, independent of the id order [Graph] relies on. *)
+let reference_live g =
+  let live = Array.make (Graph.num_nodes g) false in
+  let rec visit id =
+    if not live.(id) then begin
+      live.(id) <- true;
+      List.iter visit (Graph.operands g id)
+    end
+  in
+  List.iter visit (Graph.outputs g);
+  live
+
+let live_matches_reference g =
+  let expected = reference_live g in
+  List.for_all
+    (fun id -> Graph.is_live g id = expected.(id))
+    (Graph.topo_order g)
+
+let check_live_matches name g =
+  check (name ^ ": is_live = backward reachability") true
+    (live_matches_reference g)
+
+(* The same nodes with another output list: re-runs [of_nodes], and a
+   subset of the outputs leaves whole regions dead. *)
+let with_outputs g outputs =
+  Graph.of_nodes (Array.init (Graph.num_nodes g) (Graph.node g)) ~outputs
+
+let dead_branch_graph () =
   let b = Builder.create () in
   let x = Builder.parameter b "x" [ 2 ] in
   let live = Builder.tanh b x in
   let dead = Builder.sigmoid b x in
   let deader = Builder.neg b dead in
-  let g = Builder.finish b ~outputs:[ live ] in
-  let l = Graph.live_ids g in
-  check "x live" true l.(x);
-  check "tanh live" true l.(live);
-  check "sigmoid dead" false l.(dead);
-  check "neg dead" false l.(deader)
+  (Builder.finish b ~outputs:[ live ], x, live, dead, deader)
+
+let test_liveness () =
+  let g, x, live, dead, deader = dead_branch_graph () in
+  check "x live" true (Graph.is_live g x);
+  check "tanh live" true (Graph.is_live g live);
+  check "sigmoid dead" false (Graph.is_live g dead);
+  check "neg dead" false (Graph.is_live g deader);
+  check_live_matches "dead branch" g;
+  (* declaring the dead tail an output revives its whole chain *)
+  let g' = with_outputs g [ live; deader ] in
+  check "sigmoid revived" true (Graph.is_live g' dead);
+  check "neg revived" true (Graph.is_live g' deader)
+
+let test_liveness_zoo () =
+  List.iter
+    (fun (e : Astitch_workloads.Zoo.entry) ->
+      let graphs =
+        [ ("tiny", e.tiny ()); ("inference", e.inference ()) ]
+        @ match e.training with
+          | Some t -> [ ("training", t ()) ]
+          | None -> []
+      in
+      List.iter
+        (fun (kind, g) ->
+          let name = e.name ^ "-" ^ kind in
+          check_live_matches name g;
+          (* first output alone: the others' private producers go dead *)
+          check_live_matches (name ^ " first output")
+            (with_outputs g [ List.hd (Graph.outputs g) ]))
+        graphs)
+    Astitch_workloads.Zoo.all
+
+let prop_liveness_random =
+  QCheck2.Test.make ~name:"is_live = reachability on random graphs" ~count:60
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 6))
+    (fun (seed, stride) ->
+      let g = Astitch_workloads.Synthetic.random_graph ~seed ~nodes:30 () in
+      (* every [stride]-th node as output, plus the last one *)
+      let n = Graph.num_nodes g in
+      let outputs =
+        List.filter (fun id -> id mod stride = 0 || id = n - 1)
+          (Graph.topo_order g)
+      in
+      live_matches_reference g
+      && live_matches_reference (with_outputs g outputs))
+
+(* Decoding rebuilds the graph through [of_nodes]: liveness must come back
+   with it, dead nodes included. *)
+let test_liveness_codec_roundtrip () =
+  let compile g =
+    Astitch_core.Astitch.full_backend.Astitch_plan.Backend_intf.compile
+      Astitch_simt.Arch.v100 g
+  in
+  let dead_branch, _, _, _, _ = dead_branch_graph () in
+  List.iter
+    (fun (name, g) ->
+      let plan = compile g in
+      let decoded =
+        Astitch_plan.Plan_codec.decode_exn (Astitch_plan.Plan_codec.encode plan)
+      in
+      let g' = decoded.Astitch_plan.Kernel_plan.graph in
+      check_int (name ^ ": node count") (Graph.num_nodes g)
+        (Graph.num_nodes g');
+      check_live_matches (name ^ " decoded") g';
+      check (name ^ ": liveness preserved") true
+        (List.for_all
+           (fun id -> Graph.is_live g id = Graph.is_live g' id)
+           (Graph.topo_order g)))
+    (("dead-branch", dead_branch)
+    :: List.map
+         (fun (e : Astitch_workloads.Zoo.entry) -> (e.name, e.tiny ()))
+         Astitch_workloads.Zoo.all)
 
 (* --- More autodiff rules ------------------------------------------------- *)
 
@@ -474,7 +571,11 @@ let () =
           Alcotest.test_case "per-op errors" `Quick test_inference_errors;
           Alcotest.test_case "op tables" `Quick test_op_tables;
           Alcotest.test_case "map_operands" `Quick test_map_operands;
-          Alcotest.test_case "liveness" `Quick test_live_ids;
+          Alcotest.test_case "liveness" `Quick test_liveness;
+          Alcotest.test_case "liveness on zoo graphs" `Quick test_liveness_zoo;
+          Alcotest.test_case "liveness after codec round trip" `Quick
+            test_liveness_codec_roundtrip;
+          QCheck_alcotest.to_alcotest prop_liveness_random;
         ] );
       ( "autodiff extended",
         [

@@ -227,6 +227,61 @@ let test_check_barrier_required () =
   | exception Compile_error.Error _ -> ());
   Kernel_plan.check { plan with kernels = [ { k with barriers = 1 } ] }
 
+(* Liveness semantics of the per-kernel check: a Register or Shared_mem
+   value may have consumers outside its kernel as long as they are dead;
+   reviving one (declaring it a graph output) makes exactly that escape a
+   violation. *)
+let test_check_kernel_ignores_dead_consumers () =
+  let b = Builder.create () in
+  let x = Builder.parameter b "x" [ 4; 8 ] in
+  let a = Builder.tanh b x in
+  let s = Builder.exp b x in
+  let y = Builder.add b a s in
+  let a_dead = Builder.neg b a in
+  let s_dead = Builder.neg b s in
+  let g = Builder.finish b ~outputs:[ y ] in
+  let with_outputs outputs =
+    Graph.of_nodes (Array.init (Graph.num_nodes g) (Graph.node g)) ~outputs
+  in
+  let k =
+    {
+      Kernel_plan.name = "k";
+      kind = Kernel_plan.Codegen;
+      ops =
+        [
+          mk_op ~placement:Kernel_plan.Register a (ew 32);
+          mk_op ~placement:Kernel_plan.Shared_mem s (ew 32);
+          mk_op ~placement:Kernel_plan.Device_mem y (ew 32);
+        ];
+      launch = Launch.make ~shared_mem_per_block:128 ~grid:1 ~block:256 ();
+      barriers = 0;
+      scratch_bytes = 0;
+    }
+  in
+  check "dead out-of-kernel consumers pass" true
+    (Kernel_plan.check_kernel Arch.v100 g k = []);
+  let contains str sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length str && (String.sub str i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  (* reviving [consumer] leaves exactly one violation, naming the pair *)
+  let escapes ~producer ~consumer phrase =
+    let g' = with_outputs [ y; consumer ] in
+    match Kernel_plan.check_kernel Arch.v100 g' k with
+    | [ v ] ->
+        v.kind = Compile_error.Invalid_structure
+        && v.ops = [ producer; consumer ]
+        && contains v.message phrase
+    | _ -> false
+  in
+  check "live register consumer escapes" true
+    (escapes ~producer:a ~consumer:a_dead "outside kernel");
+  check "live shared-mem consumer escapes" true
+    (escapes ~producer:s ~consumer:s_dead "escapes kernel")
+
 let test_toposort_kernels () =
   let g, t, r = tiny_plan_graph () in
   let mk name ops =
@@ -357,6 +412,8 @@ let () =
           Alcotest.test_case "register escape" `Quick test_check_catches_register_escape;
           Alcotest.test_case "double materialize" `Quick test_check_catches_double_materialize;
           Alcotest.test_case "barrier required" `Quick test_check_barrier_required;
+          Alcotest.test_case "dead consumers ignored" `Quick
+            test_check_kernel_ignores_dead_consumers;
           Alcotest.test_case "toposort" `Quick test_toposort_kernels;
           Alcotest.test_case "kernel work" `Quick test_kernel_work;
         ] );

@@ -200,7 +200,7 @@ let inspect model training tiny =
       `Ok ()
 
 let compile model backend training tiny arch resilient injects use_cache
-    repeat jobs =
+    repeat =
   match
     (lookup_model model ~training ~tiny, lookup_backend backend,
      parse_injects injects)
@@ -208,7 +208,6 @@ let compile model backend training tiny arch resilient injects use_cache
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> `Error (false, e)
   | Ok g, Ok b, Ok faults ->
       let repeat = Stdlib.max 1 repeat in
-      let jobs = Astitch_core.Config.resolve_domains jobs in
       with_arch arch (fun arch ->
           if resilient then begin
             match config_for_backend backend with
@@ -218,9 +217,7 @@ let compile model backend training tiny arch resilient injects use_cache
                     "--resilient needs an AStitch-family backend (astitch, \
                      atm or hdm)" )
             | Some base -> (
-            let config =
-              { base with Astitch_core.Config.faults; compile_domains = jobs }
-            in
+            let config = { base with Astitch_core.Config.faults } in
             let cache = Session.make_resilient_cache () in
             let compile_once () =
               if use_cache then
@@ -278,17 +275,6 @@ let compile model backend training tiny arch resilient injects use_cache
                 | exception Compile_error.Error e ->
                     `Error (false, Compile_error.to_string e))
           else
-            let b =
-              if jobs <= 1 then b
-              else
-                match config_for_backend backend with
-                | Some base ->
-                    Astitch_core.Astitch.backend
-                      ~config:
-                        { base with Astitch_core.Config.compile_domains = jobs }
-                      ()
-                | None -> b
-            in
             let cache = Session.make_cache () in
             let compile_once () =
               if use_cache then Session.compile_cached cache b arch g
@@ -506,29 +492,24 @@ let parse_file path backend arch =
               `Ok ())
 
 let bench experiment fused trace metrics =
-  Astitch_experiments.Experiments.fused_exec_default := fused;
+  let module E = Astitch_experiments.Experiments in
+  E.fused_exec_default := fused;
   with_obs ~trace ~metrics (fun () ->
       match experiment with
       | None ->
-          Astitch_experiments.Experiments.run_all ();
+          E.run_all ();
           `Ok ()
       | Some name -> (
-          match
-            List.find_opt
-              (fun (n, _, _) -> n = name)
-              Astitch_experiments.Experiments.all
-          with
-          | Some (_, _, f) ->
-              f ();
-              `Ok ()
-          | None ->
-              `Error
-                ( false,
-                  Printf.sprintf "unknown experiment %s (try: %s)" name
-                    (String.concat ", "
-                       (List.map
-                          (fun (n, _, _) -> n)
-                          Astitch_experiments.Experiments.all)) )))
+          match E.run name with
+          | () -> `Ok ()
+          | exception
+              Compile_error.Error
+                {
+                  violations =
+                    [ { kind = Compile_error.Unknown_name; message; _ } ];
+                  _;
+                } ->
+              `Error (false, message)))
 
 (* --- The trace command ------------------------------------------------------ *)
 
@@ -1110,8 +1091,9 @@ let parse_slo_specs specs =
     (Ok []) specs
 
 (* Skewed popularity: model i draws traffic proportional to 1/(i+1)
-   (first-listed model is hottest), matching the zoo bench's workload
-   shape so CLI runs and bench runs stress the same scheduler paths. *)
+   (first-listed model is hottest), matching perfbench's zoo-overload
+   workload shape so CLI runs and benchmark runs stress the same
+   scheduler paths. *)
 let skewed_pick st names =
   let n = Array.length names in
   let weights = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
@@ -1396,20 +1378,13 @@ let repeat_arg =
          ~doc:"Compile N times (interesting with --cache: the first is a \
                miss, the rest are hits).")
 
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Compile cluster groups on N domains (AStitch-family \
-               backends; plans are identical at any setting).  0 means \
-               auto: the machine's recommended domain count, uncapped.")
-
 let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a workload and print the kernel plan")
     Term.(
       ret
         (const compile $ model_arg $ backend_arg $ training_arg $ tiny_arg
-       $ arch_arg $ resilient_arg $ inject_arg $ cache_arg $ repeat_arg
-       $ jobs_arg))
+       $ arch_arg $ resilient_arg $ inject_arg $ cache_arg $ repeat_arg))
 
 let cuda_cmd =
   Cmd.v

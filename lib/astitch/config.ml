@@ -15,16 +15,8 @@ type t = {
   compile_budget_s : float option;
       (* per-attempt compile-time budget for the resilient pipeline
          (Sec 6.4.1 posture); None = unbounded *)
-  compile_domains : int;
-      (* worker domains for per-cluster compilation; 1 = sequential.
-         Plans are byte-identical at any setting (deterministic merge) *)
   faults : Astitch_plan.Fault_site.plan list;
       (* armed fault-injection plans (testing only; [] in production) *)
-  fused_exec : bool;
-      (* execute plans through the fused engine (scalarized registers,
-         staged shared slabs, arena-backed device buffers); off = the
-         reference per-node executor.  Runtime-only: results are
-         bit-identical either way and the plan itself is unchanged *)
 }
 
 let full =
@@ -35,19 +27,8 @@ let full =
     remote_stitching = true;
     max_remote_merge_width = 4;
     compile_budget_s = None;
-    compile_domains = 1;
     faults = [];
-    fused_exec = true;
   }
-
-(* Resolve a requested domain count: [0] (or negative) means "auto", the
-   machine's recommended count.  This is where the old hard [min 8] cap
-   in Parallel.recommended_domains moved: the clamp is a configuration
-   decision, and the only remaining floor is 1. *)
-let resolve_domains requested =
-  if requested <= 0 then Parallel.recommended_domains () else requested
-
-let auto_domains () = { full with compile_domains = resolve_domains 0 }
 
 (* The "ATM" ablation: adaptive thread mapping on XLA's fusion plan. *)
 let atm_only = { full with hierarchical_data_reuse = false;
@@ -63,12 +44,9 @@ let to_string c =
     c.remote_stitching
 
 (* Canonical serialization of every field that can change the compiled
-   plan - the config component of a plan-cache key.  [compile_domains]
-   and [fused_exec] are deliberately excluded: parallel compilation is
-   byte-identical to sequential and fused execution is a runtime choice
-   over an unchanged plan, so neither may fragment the cache.  [faults]
-   and the budget are included so fault-injected or budget-constrained
-   configs never alias a production entry. *)
+   plan - the config component of a plan-cache key.  Every field is
+   plan-affecting; [faults] and the budget are included so fault-injected
+   or budget-constrained configs never alias a production entry. *)
 let cache_key c =
   Printf.sprintf "atm=%b;hdr=%b;merge=%b;remote=%b;width=%d;budget=%s;faults=%d"
     c.adaptive_thread_mapping c.hierarchical_data_reuse c.dominant_merging

@@ -10,28 +10,11 @@ type t = {
   compile_budget_s : float option;
       (** per-attempt compile-time budget for the resilient pipeline;
           [None] = unbounded *)
-  compile_domains : int;
-      (** worker domains for per-cluster compilation; [1] = sequential.
-          Any setting produces byte-identical plans. *)
   faults : Astitch_plan.Fault_site.plan list;
       (** armed fault-injection plans (testing only; [[]] in production) *)
-  fused_exec : bool;
-      (** execute plans through the fused engine (register scalarization,
-          shared-slab staging, arena-backed device buffers); off = the
-          reference per-node executor.  Bit-identical either way. *)
 }
 
 val full : t
-
-val resolve_domains : int -> int
-(** [resolve_domains n] is [n] for positive [n] and the machine's
-    recommended domain count for [n <= 0] ("auto").  The old hard cap of
-    8 domains lives nowhere anymore: [compile_domains] is honored as
-    given. *)
-
-val auto_domains : unit -> t
-(** [full] with [compile_domains] resolved to the machine's recommended
-    domain count. *)
 
 val atm_only : t
 (** Adaptive thread mapping on XLA's fusion plan (Table 4 "ATM"). *)
@@ -43,7 +26,6 @@ val to_string : t -> string
 
 val cache_key : t -> string
 (** Canonical serialization of every plan-affecting field, for plan-cache
-    keys.  [compile_domains] and [fused_exec] are excluded (parallel
-    compilation is byte-identical to sequential, and fused execution is a
-    runtime choice over an unchanged plan; neither may fragment the
-    cache). *)
+    keys.  Fault plans are keyed by count and the budget by value, so
+    fault-injected or budget-constrained configs never alias a production
+    entry. *)

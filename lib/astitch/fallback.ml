@@ -269,10 +269,8 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
     |> List.concat
   in
   (* Degrade one cluster through the given rungs; the terminal
-     kernel-per-op constructor cannot fail.  [record] is a parameter so
-     parallel group compilation can collect events into per-group logs
-     instead of racing on the shared one. *)
-  let per_cluster_ladder ~record ~rungs ~name ~smem_budget ~group_base nodes =
+     kernel-per-op constructor cannot fail. *)
+  let per_cluster_ladder ~rungs ~name ~smem_budget ~group_base nodes =
     let compile_once () =
       Stitch_backend.compile_cluster config arch g ~name ~smem_budget
         ~group_base nodes
@@ -307,7 +305,7 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
   (* One remote-stitched group, mirroring [Stitch_backend.compile_with]
      exactly in the no-fault case (same names, budgets and group bases,
      so the resulting plan is structurally identical). *)
-  let group_kernels ~record i (parts : Clustering.cluster list) =
+  let group_kernels i (parts : Clustering.cluster list) =
     match parts with
     | [ { Clustering.nodes = [ single ]; _ } ]
       when FC.is_layout_only g single ->
@@ -360,7 +358,7 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
             List.concat
               (List.mapi
                  (fun j (c : Clustering.cluster) ->
-                   per_cluster_ladder ~record ~rungs
+                   per_cluster_ladder ~rungs
                      ~name:(Printf.sprintf "%s.%d" name j)
                      ~smem_budget:(Launch_config.shared_mem_budget arch)
                      ~group_base:(j * 1024) c.Clustering.nodes)
@@ -546,37 +544,9 @@ let compile_armed (config : Config.t) (arch : Arch.t) g :
             List.map (fun c -> [ c ]) clusters
       else List.map (fun c -> [ c ]) clusters
     in
-    (* Groups degrade independently, so they can compile on a domain
-       pool: each group collects its ladder events locally and the
-       results merge back in group-index order — kernels and event log
-       both byte-identical to the sequential walk.  Parallelism is gated
-       off under fault injection (global registry) and compile budgets
-       (Sys.time is process CPU time, inflated by concurrent domains). *)
-    let domains =
-      if
-        config.faults <> []
-        || Fault_site.compile_active ()
-        || config.compile_budget_s <> None
-      then 1
-      else config.compile_domains
+    let stitch_kernels =
+      List.mapi group_kernels cluster_groups |> List.concat
     in
-    let compiled_groups =
-      Parallel.mapi ~domains
-        (fun i parts ->
-          let local = ref [] in
-          let record cluster from_level to_level error =
-            note_degrade cluster from_level to_level;
-            local :=
-              { Degradation.cluster; from_level; to_level; error } :: !local
-          in
-          let ks = group_kernels ~record i parts in
-          (ks, List.rev !local))
-        cluster_groups
-    in
-    List.iter
-      (fun (_, evs) -> List.iter (fun e -> events := e :: !events) evs)
-      compiled_groups;
-    let stitch_kernels = List.concat_map fst compiled_groups in
     match finish stitch_kernels with
     | Ok plan -> Ok (plan, List.rev !events)
     | Error e -> Error e

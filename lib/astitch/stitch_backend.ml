@@ -533,20 +533,6 @@ let compile_with_armed (config : Config.t) (arch : Arch.t) g : Kernel_plan.t =
               ~max_merge_width:config.max_remote_merge_width g clusters
           else List.map (fun c -> [ c ]) clusters)
     in
-    (* Each group's kernel depends only on (g, config, arch): the groups
-       compile independently and merge back in input order, so the plan
-       is byte-identical at any domain count.  Parallelism is gated off
-       when fault injection is armed (global mutable registry) or a
-       compile budget is set (budgets read process CPU time, which
-       concurrent domains inflate). *)
-    let domains =
-      if
-        config.faults <> []
-        || Astitch_plan.Fault_site.compile_active ()
-        || config.compile_budget_s <> None
-      then 1
-      else config.compile_domains
-    in
     let compile_group i (parts : Clustering.cluster list) =
       match parts with
       | [ { Clustering.nodes = [ single ]; _ } ]
@@ -577,7 +563,7 @@ let compile_with_armed (config : Config.t) (arch : Arch.t) g : Kernel_plan.t =
           |> combine_parts arch ~name |> Option.to_list
     in
     let stitch_kernels =
-      Parallel.mapi ~domains compile_group cluster_groups |> List.concat
+      List.mapi compile_group cluster_groups |> List.concat
     in
     Trace.with_span ~phase:"compile" "kernel-schedule" (fun () ->
         let kernels =

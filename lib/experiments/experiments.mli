@@ -28,7 +28,9 @@ val all : (string * string * (unit -> unit)) list
 (** [(id, description, run)] for every experiment. *)
 
 val run : string -> unit
-(** @raise Invalid_argument on unknown ids. *)
+(** Run one experiment by id.
+    @raise Astitch_plan.Compile_error.Error with kind [Unknown_name],
+    whose message lists the valid ids, on unknown ids. *)
 
 val run_all : unit -> unit
 

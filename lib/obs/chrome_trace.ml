@@ -13,7 +13,7 @@
 
    Spans map to complete events ("ph":"X", microsecond ts/dur with
    nanosecond precision in the fraction), instants to "ph":"i"; the
-   emitting domain becomes the tid, so parallel compiles render as one
+   emitting domain becomes the tid, so serving workers render as one
    track per domain.  Span id and parent id travel in args - Perfetto
    nests "X" events by interval containment, which our per-domain span
    stack guarantees. *)

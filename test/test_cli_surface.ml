@@ -80,6 +80,23 @@ let test_inspect_path () =
         && clusters <> []))
     Astitch_workloads.Zoo.all
 
+(* the `bench` lookup: an unknown experiment id is a structured
+   [Unknown_name] error whose message lists every valid id *)
+let test_bench_unknown_id () =
+  let module E = Astitch_experiments.Experiments in
+  match E.run "no-such-experiment" with
+  | () -> Alcotest.fail "expected Unknown_name"
+  | exception
+      Compile_error.Error
+        {
+          violations = [ { kind = Compile_error.Unknown_name; message; _ } ];
+          _;
+        } ->
+      List.iter
+        (fun (id, _, _) ->
+          check ("message lists " ^ id) true (contains message id))
+        E.all
+
 let () =
   Alcotest.run "cli_surface"
     [
@@ -90,5 +107,6 @@ let () =
           Alcotest.test_case "text --simplify" `Quick test_text_simplify_path;
           Alcotest.test_case "dot" `Quick test_dot_path;
           Alcotest.test_case "inspect" `Quick test_inspect_path;
+          Alcotest.test_case "bench unknown id" `Quick test_bench_unknown_id;
         ] );
     ]

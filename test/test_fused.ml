@@ -13,8 +13,10 @@
    - kernels the tape cannot lower fall back to the reference path with
      a reason, and the mixed context is still bit-identical;
    - fit_shared demotes largest-first and keeps everything under budget;
-   - Config.fused_exec is a runtime knob: it does not change the plan
-     cache key. *)
+   - on the same plan the fused engine materializes strictly fewer bytes
+     per run than the reference context, and on the shared-memory
+     overflow shapes the AStitch plan needs fewer kernels and fewer
+     materialized bytes than kernel-per-op. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -462,14 +464,68 @@ let test_disabled_engine_is_all_reference () =
     (List.length plan.Kernel_plan.kernels)
     (List.length (Executor.context_fallbacks ctx))
 
-(* --- Config --------------------------------------------------------------- *)
+(* --- Materialized bytes --------------------------------------------------- *)
 
-let test_fused_exec_not_in_cache_key () =
-  let open Astitch_core.Config in
-  Alcotest.(check string)
-    "fused_exec is runtime-only: same cache key either way"
-    (cache_key full)
-    (cache_key { full with fused_exec = false })
+(* Full-buffer bytes one run of [ctx] writes, after running it once. *)
+let bytes_materialized ctx params =
+  ignore (Executor.run_context ctx ~params);
+  List.fold_left
+    (fun acc (k : Profile.exec_kernel) -> acc + k.bytes_materialized)
+    0 (Executor.exec_report ctx).Profile.exec_kernels
+
+(* Registers and shared slabs keep values off the device: on the same
+   plan the fused engine writes strictly fewer full-buffer bytes than
+   the reference context, which materializes every op.  Bytes, not wall
+   time, so the check means the same on every host. *)
+let test_fused_materializes_less () =
+  List.iter
+    (fun name ->
+      let e = Option.get (Astitch_workloads.Zoo.find name) in
+      let plan = compile_tiny "astitch" e in
+      let params = Session.random_params ~seed:5 plan.Kernel_plan.graph in
+      let fused =
+        bytes_materialized (Executor.create_context ~fused:true plan) params
+      in
+      let reference =
+        bytes_materialized (Executor.create_context ~fused:false plan) params
+      in
+      check_bool
+        (Printf.sprintf "%s: fused %d < reference %d bytes" name fused
+           reference)
+        true (fused < reference))
+    [ "ASR"; "DIEN" ]
+
+(* On the shared-memory overflow shapes, global stitching beats
+   kernel-per-op structurally: fewer kernels, and fewer bytes
+   materialized per run.  Counts, not wall time, so the check means the
+   same on every host. *)
+let test_overflow_beats_per_op () =
+  List.iter
+    (fun (name, build) ->
+      let g = build () in
+      let plan =
+        (Session.compile Astitch_core.Astitch.full_backend Arch.v100 g)
+          .Session.plan
+      in
+      let per_op = Astitch_core.Fallback.per_op_plan Arch.v100 g in
+      let nk (p : Kernel_plan.t) = List.length p.kernels in
+      check_bool
+        (Printf.sprintf "%s: %d kernels < %d per-op" name (nk plan)
+           (nk per_op))
+        true
+        (nk plan < nk per_op);
+      let params = Session.random_params ~seed:11 g in
+      let stitched =
+        bytes_materialized (Executor.create_context ~fused:true plan) params
+      in
+      let per_op_bytes =
+        bytes_materialized (Executor.create_context ~fused:true per_op) params
+      in
+      check_bool
+        (Printf.sprintf "%s: %d bytes < %d per-op" name stitched per_op_bytes)
+        true
+        (stitched < per_op_bytes))
+    overflow_entries
 
 let () =
   Alcotest.run "fused"
@@ -497,6 +553,13 @@ let () =
           Alcotest.test_case "irregular block staging" `Quick
             test_irregular_staging;
         ] );
+      ( "materialized",
+        [
+          Alcotest.test_case "fused below reference (ASR, DIEN)" `Quick
+            test_fused_materializes_less;
+          Alcotest.test_case "overflow: global below per-op" `Quick
+            test_overflow_beats_per_op;
+        ] );
       ( "fallback",
         [
           Alcotest.test_case "legal demotion instead of fallback" `Quick
@@ -513,10 +576,5 @@ let () =
           QCheck_alcotest.to_alcotest test_random_overflow_bit_identical;
           Alcotest.test_case "demote-vs-split crossover" `Quick
             test_gating_crossover;
-        ] );
-      ( "config",
-        [
-          Alcotest.test_case "fused_exec outside the cache key" `Quick
-            test_fused_exec_not_in_cache_key;
         ] );
     ]

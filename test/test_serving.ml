@@ -1,14 +1,12 @@
-(* The serving fast path: canonical fingerprints, the plan cache,
-   reusable execution contexts, and parallel cluster compilation.
+(* The serving fast path: canonical fingerprints, the plan cache and
+   reusable execution contexts.
 
    The load-bearing claims, each tested directly:
    - fingerprints are invariant under node renumbering/dead code and
      sensitive to semantic changes (cache-key soundness);
    - a cache hit returns the identical compiled result, eviction is
      strict LRU, and degraded/fault-injected compiles never get cached;
-   - run_context is bit-identical to a fresh Executor.run;
-   - parallel cluster compilation is byte-identical to sequential on
-     every zoo workload and on random graphs. *)
+   - run_context is bit-identical to a fresh Executor.run. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -300,73 +298,6 @@ let test_context_missing_param () =
   | _ -> Alcotest.fail "expected Missing_parameter"
   | exception Interp.Missing_parameter _ -> ()
 
-(* --- Parallel compilation ----------------------------------------------- *)
-
-let marshal_plan (p : Kernel_plan.t) = Marshal.to_string p []
-
-let parallel_config domains =
-  { Astitch_core.Config.full with compile_domains = domains }
-
-let test_parallel_equals_sequential_zoo () =
-  List.iter
-    (fun (e : Astitch_workloads.Zoo.entry) ->
-      let g = e.tiny () in
-      let seq =
-        Astitch_core.Astitch.compile ~config:(parallel_config 1) Arch.v100 g
-      in
-      let par =
-        Astitch_core.Astitch.compile ~config:(parallel_config 4) Arch.v100 g
-      in
-      check_bool (e.name ^ ": parallel plan byte-identical") true
-        (String.equal (marshal_plan seq) (marshal_plan par)))
-    Astitch_workloads.Zoo.all
-
-let test_parallel_equals_sequential_resilient () =
-  List.iter
-    (fun (e : Astitch_workloads.Zoo.entry) ->
-      let g = e.tiny () in
-      let compile domains =
-        match
-          Session.compile_resilient ~config:(parallel_config domains)
-            Arch.v100 g
-        with
-        | Ok r -> (marshal_plan r.Session.result.plan, r.Session.report)
-        | Error e -> Alcotest.failf "resilient compile failed: %s"
-                       (Compile_error.to_string e)
-      in
-      let plan_seq, report_seq = compile 1 in
-      let plan_par, report_par = compile 4 in
-      check_bool (e.name ^ ": resilient parallel byte-identical") true
-        (String.equal plan_seq plan_par);
-      check_int (e.name ^ ": same degradation events")
-        (List.length report_seq) (List.length report_par))
-    Astitch_workloads.Zoo.all
-
-let test_parallel_equals_sequential_random =
-  QCheck.Test.make ~count:30 ~name:"parallel compile == sequential (random)"
-    QCheck.(make Gen.(int_bound 100_000))
-    (fun seed ->
-      let g = Astitch_workloads.Synthetic.random_graph ~seed ~nodes:24 () in
-      let compile domains =
-        match
-          Astitch_core.Astitch.compile ~config:(parallel_config domains)
-            Arch.v100 g
-        with
-        | p -> Ok (marshal_plan p)
-        | exception Compile_error.Error e -> Error (Compile_error.to_string e)
-      in
-      compile 1 = compile 3)
-
-let test_parallel_map_exception_order () =
-  (* lowest failing index wins, as in a sequential left-to-right map *)
-  match
-    Astitch_core.Parallel.mapi ~domains:4
-      (fun i () -> if i >= 2 then failwith (string_of_int i) else i)
-      [ (); (); (); (); () ]
-  with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure m -> check_string "first failure surfaced" "2" m
-
 let () =
   Alcotest.run "serving"
     [
@@ -404,15 +335,5 @@ let () =
             test_context_across_backends;
           Alcotest.test_case "missing parameter raises" `Quick
             test_context_missing_param;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "zoo plans byte-identical" `Quick
-            test_parallel_equals_sequential_zoo;
-          Alcotest.test_case "resilient plans byte-identical" `Quick
-            test_parallel_equals_sequential_resilient;
-          QCheck_alcotest.to_alcotest test_parallel_equals_sequential_random;
-          Alcotest.test_case "exception order deterministic" `Quick
-            test_parallel_map_exception_order;
         ] );
     ]

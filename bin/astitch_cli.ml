@@ -815,6 +815,71 @@ let hist_line name =
     (q 0.99)
     (Astitch_obs.Metrics.hist_count h)
 
+(* The open-loop load generator [serve] and [zoo] share: request i
+   arrives at its own scheduled time (exponential inter-arrivals at
+   [arrival] req/s; 0 = back to back), whether or not earlier requests
+   finished - so overload builds queue depth instead of slowing the
+   generator.
+   [pick] names request i's model; refusals are tallied at submit,
+   outcomes after the drain. *)
+type tally = {
+  done_n : int;
+  degraded : int;
+  failed : int;
+  shed : int;
+  rejected : int;
+  wall : float;  (** first arrival to the end of the drain, seconds *)
+}
+
+let open_loop server ~seed ~arrival ~requests ~pick ~submit ~await =
+  let module Serve = Astitch_serve.Serve in
+  let st = Random.State.make [| seed |] in
+  let t0 = Unix.gettimeofday () in
+  let clock = ref 0. in
+  let rejected = ref 0 in
+  let tickets =
+    List.filter_map
+      (fun i ->
+        (if arrival > 0. then begin
+           let gap = -.Float.log (1. -. Random.State.float st 1.) /. arrival in
+           clock := !clock +. gap;
+           let until = t0 +. !clock -. Unix.gettimeofday () in
+           if until > 0. then Unix.sleepf until
+         end);
+        let model = pick st i in
+        let params = Serve.random_request server ~model ~seed:(seed + i) in
+        match submit ~model ~params with
+        | Ok t -> Some (i, t)
+        | Error _ ->
+            incr rejected;
+            None)
+      (List.init requests Fun.id)
+  in
+  Serve.drain server;
+  let wall = Unix.gettimeofday () -. t0 in
+  List.fold_left
+    (fun acc (i, t) ->
+      match (await t : Astitch_serve.Request.outcome) with
+      | Done { degraded; _ } ->
+          {
+            acc with
+            done_n = acc.done_n + 1;
+            degraded = acc.degraded + Bool.to_int degraded;
+          }
+      | Overloaded _ -> { acc with shed = acc.shed + 1 }
+      | Failed m ->
+          Printf.printf "request %d FAILED: %s\n" i m;
+          { acc with failed = acc.failed + 1 })
+    {
+      done_n = 0;
+      degraded = 0;
+      failed = 0;
+      shed = 0;
+      rejected = !rejected;
+      wall;
+    }
+    tickets
+
 (* Chaos mode arms every runtime fault site at once, seeded: alternating
    raise/corrupt across the sites, two firings each.  Deterministic per
    [--seed], so a CI failure replays exactly. *)
@@ -840,7 +905,6 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
       in
       with_arch arch (fun arch ->
           let module Serve = Astitch_serve.Serve in
-          let module Request = Astitch_serve.Request in
           let module Flight = Astitch_obs.Flight in
           let with_plans f =
             if fault_plans = [] then f () else Fault.with_faults fault_plans f
@@ -884,63 +948,20 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
                     (String.concat " "
                        (List.map Fault.plan_to_string fault_plans));
                 Serve.warm server;
-                (* Open loop: request i arrives at its own scheduled time
-                   (exponential inter-arrivals at [arrival] req/s),
-                   whether or not earlier requests finished - so overload
-                   builds queue depth instead of slowing the generator. *)
-                let st = Random.State.make [| seed |] in
-                let t0 = Unix.gettimeofday () in
-                let clock = ref 0. in
-                let rejected = ref 0 in
-                let tickets =
-                  List.filter_map
-                    (fun i ->
-                      (if arrival > 0. then begin
-                         let gap =
-                           -.Float.log (1. -. Random.State.float st 1.)
-                           /. arrival
-                         in
-                         clock := !clock +. gap;
-                         let until = t0 +. !clock -. Unix.gettimeofday () in
-                         if until > 0. then Unix.sleepf until
-                       end);
-                      let model =
-                        (List.nth models (i mod n_models)).Serve.name
-                      in
-                      let params =
-                        Serve.random_request server ~model ~seed:(seed + i)
-                      in
-                      match Serve.submit_async server ~model ~params with
-                      | Ok t -> Some (i, t)
-                      | Error _ ->
-                          incr rejected;
-                          None)
-                    (List.init requests Fun.id)
+                let tally =
+                  open_loop server ~seed ~arrival ~requests
+                    ~pick:(fun _ i ->
+                      (List.nth models (i mod n_models)).Serve.name)
+                    ~submit:(Serve.submit_async server)
+                    ~await:(Serve.await server)
                 in
-                Serve.drain server;
-                let wall = Unix.gettimeofday () -. t0 in
-                let done_n = ref 0
-                and failed = ref 0
-                and degraded = ref 0
-                and shed = ref 0 in
-                List.iter
-                  (fun (i, t) ->
-                    match Serve.await server t with
-                    | Request.Done { degraded = d; _ } ->
-                        incr done_n;
-                        if d then incr degraded
-                    | Request.Overloaded _ -> incr shed
-                    | Request.Failed m ->
-                        incr failed;
-                        Printf.printf "request %d FAILED: %s\n" i m)
-                  tickets;
                 Serve.shutdown server;
                 let s = Serve.stats server in
                 let sup = Serve.supervision server in
                 Printf.printf "admitted %d  rejected %d  shed %d\n"
-                  s.submitted !rejected !shed;
-                Printf.printf "completed %d  degraded %d  failed %d\n" !done_n
-                  !degraded !failed;
+                  s.submitted tally.rejected tally.shed;
+                Printf.printf "completed %d  degraded %d  failed %d\n"
+                  tally.done_n tally.degraded tally.failed;
                 Printf.printf
                   "retried %d  restarts %d  quarantined %d  wedged %d  \
                    breaker open/close %d/%d\n"
@@ -960,8 +981,8 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
                      (List.map
                         (fun (name, n) -> Printf.sprintf "%s=%d" name n)
                         (Serve.context_pool_sizes server)));
-                Printf.printf "wall %.3fs  throughput %.1f req/s\n" wall
-                  (float_of_int !done_n /. Float.max wall 1e-9);
+                Printf.printf "wall %.3fs  throughput %.1f req/s\n" tally.wall
+                  (float_of_int tally.done_n /. Float.max tally.wall 1e-9);
                 Printf.printf "latency us:    %s\n" (hist_line "serve.request_us");
                 Printf.printf "queue wait us: %s\n"
                   (hist_line "serve.queue_wait_us");
@@ -969,11 +990,12 @@ let serve_cmd_impl models workers max_batch max_wait_us queue_depth requests
                 (match stats_json with
                 | None -> ()
                 | Some path ->
-                    write_serve_stats_json ~path server ~rejected:!rejected;
+                    write_serve_stats_json ~path server
+                      ~rejected:tally.rejected;
                     Printf.printf "stats json -> %s\n" path);
-                (!done_n, !failed, !shed, !rejected, s.padded_rows)))
+                (tally, s.padded_rows)))
           in
-          let done_n, failed, shed, rejected, padded_rows = result in
+          let { done_n; failed; shed; rejected; _ }, padded_rows = result in
           let dumps =
             match recorder with
             | None -> []
@@ -1139,7 +1161,6 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
               let module Serve = Astitch_serve.Serve in
               let module Slo = Astitch_serve.Slo in
               let module Zoo = Astitch_serve.Zoo in
-              let module Request = Astitch_serve.Request in
               let registrations =
                 List.mapi
                   (fun i (m : Serve.model) ->
@@ -1211,59 +1232,20 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                     Array.of_list
                       (List.map (fun (m : Serve.model) -> m.Serve.name) models)
                   in
-                  let st = Random.State.make [| seed |] in
-                  let t0 = Unix.gettimeofday () in
-                  let clock = ref 0. in
-                  let rejected = ref 0 in
-                  let tickets =
-                    List.filter_map
-                      (fun i ->
-                        (if arrival > 0. then begin
-                           let gap =
-                             -.Float.log (1. -. Random.State.float st 1.)
-                             /. arrival
-                           in
-                           clock := !clock +. gap;
-                           let until = t0 +. !clock -. Unix.gettimeofday () in
-                           if until > 0. then Unix.sleepf until
-                         end);
-                        let model = skewed_pick st model_names in
-                        let params =
-                          Serve.random_request server ~model ~seed:(seed + i)
-                        in
-                        match Zoo.submit_async zoo ~model ~params with
-                        | Ok t -> Some (i, t)
-                        | Error _ ->
-                            incr rejected;
-                            None)
-                      (List.init requests Fun.id)
+                  let tally =
+                    open_loop server ~seed ~arrival ~requests
+                      ~pick:(fun st _ -> skewed_pick st model_names)
+                      ~submit:(Zoo.submit_async zoo) ~await:(Zoo.await zoo)
                   in
-                  Zoo.drain zoo;
-                  let wall = Unix.gettimeofday () -. t0 in
-                  let done_n = ref 0
-                  and failed = ref 0
-                  and degraded = ref 0
-                  and shed = ref 0 in
-                  List.iter
-                    (fun (i, t) ->
-                      match Zoo.await zoo t with
-                      | Request.Done { degraded = d; _ } ->
-                          incr done_n;
-                          if d then incr degraded
-                      | Request.Overloaded _ -> incr shed
-                      | Request.Failed m ->
-                          incr failed;
-                          Printf.printf "request %d FAILED: %s\n" i m)
-                    tickets;
                   let records = Astitch_obs.Trace.recorder_uninstall () in
                   let traffic_compiles = count_compile_spans records in
                   Zoo.shutdown zoo;
                   let s = Serve.stats server in
                   let d = Serve.disposition server in
                   Printf.printf "admitted %d  rejected %d  shed %d\n"
-                    s.Serve.submitted !rejected !shed;
+                    s.Serve.submitted tally.rejected tally.shed;
                   Printf.printf "completed %d  degraded %d  failed %d\n"
-                    !done_n !degraded !failed;
+                    tally.done_n tally.degraded tally.failed;
                   Printf.printf
                     "floor picks %d  displaced %d  shed-at-admission %d  \
                      lost %d\n"
@@ -1272,8 +1254,10 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                   Printf.printf
                     "compile-phase spans during traffic: %d\n"
                     traffic_compiles;
-                  Printf.printf "wall %.3fs  throughput %.1f req/s\n" wall
-                    (float_of_int !done_n /. Float.max wall 1e-9);
+                  Printf.printf "wall %.3fs  throughput %.1f req/s\n"
+                    tally.wall
+                    (float_of_int tally.done_n /. Float.max tally.wall 1e-9);
+                  let classes = Zoo.class_stats zoo in
                   Printf.printf
                     "  %-12s %5s %5s %5s %5s %5s %5s %9s %8s %8s %8s %9s\n"
                     "class" "sub" "done" "shed" "rej" "fail" "met" "mean_us"
@@ -1287,16 +1271,32 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                         c.Zoo.rejected c.Zoo.failed c.Zoo.deadline_met
                         c.Zoo.mean_us c.Zoo.p50_us c.Zoo.p95_us c.Zoo.p99_us
                         (float_of_int c.Zoo.deadline_met
-                        /. Float.max wall 1e-9))
-                    (Zoo.class_stats zoo);
+                        /. Float.max tally.wall 1e-9))
+                    classes;
                   pp_cache_stats
                     (Plan_cache.stats (Serve.plan_cache server));
-                  ( !done_n, !failed, !shed, !rejected, d.Serve.lost,
-                    s.Serve.padded_rows, p.Zoo.compiled, p.Zoo.rejected,
-                    traffic_compiles ))
+                  (* the class ledger must account for exactly what the
+                     server counted *)
+                  let sum f =
+                    List.fold_left (fun acc c -> acc + f c) 0 classes
+                  in
+                  let ledger =
+                    ( sum (fun (c : Zoo.class_stats) -> c.submitted),
+                      sum (fun c -> c.completed),
+                      sum (fun c -> c.shed),
+                      sum (fun c -> c.rejected) )
+                  in
+                  let server_counts =
+                    (s.Serve.submitted, s.Serve.completed, s.Serve.shed,
+                     s.Serve.rejected)
+                  in
+                  ( tally, d.Serve.lost, s.Serve.padded_rows, p.Zoo.compiled,
+                    p.Zoo.rejected, traffic_compiles,
+                    (ledger, server_counts) ))
               in
-              let ( done_n, failed, shed, rejected, lost, padded_rows,
-                    cold_compiles, gate_rejected, traffic_compiles ) =
+              let ( { done_n; failed; shed; rejected; _ }, lost, padded_rows,
+                    cold_compiles, gate_rejected, traffic_compiles,
+                    (ledger, server_counts) ) =
                 result
               in
               if not check then `Ok ()
@@ -1323,6 +1323,17 @@ let zoo_cmd_impl names slo_specs plan_dir verify_plans workers max_batch
                         "check: %d padded rows executed (continuous \
                          batching promises 0)"
                         padded_rows )
+                else if ledger <> server_counts then
+                  let show (a, b, c, d) =
+                    Printf.sprintf
+                      "admitted %d completed %d shed %d rejected %d" a b c d
+                  in
+                  `Error
+                    ( false,
+                      Printf.sprintf
+                        "check: class ledger (%s) does not reconcile with the \
+                         server (%s)"
+                        (show ledger) (show server_counts) )
                 else if verify_plans && gate_rejected > 0 then
                   `Error
                     ( false,

@@ -6,8 +6,8 @@
    request resolves to exactly one [outcome]: served, structurally
    rejected/shed ([Overloaded] - the admission-control contract, never
    an unbounded queue), or failed after the degradation ladder ran dry.
-   Timestamps are wall-clock microseconds ([Unix.gettimeofday *. 1e6]),
-   matching the obs layer's latency histograms. *)
+   Timestamps are wall-clock microseconds, matching the obs layer's
+   latency histograms; [now_us] is the serve layer's one clock read. *)
 
 open Astitch_tensor
 
@@ -57,6 +57,8 @@ type t = {
           attempt wins); 0 until first dispatch.  Splits queue wait from
           the on-worker phases in the latency decomposition. *)
 }
+
+let now_us () = Unix.gettimeofday () *. 1e6
 
 let expired ~now_us t =
   match t.deadline_us with None -> false | Some d -> now_us > d

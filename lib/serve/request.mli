@@ -12,7 +12,7 @@ type overload =
   | Displaced
       (** shed from the queue: a full queue made room for an arriving
           higher-SLO-class request by evicting this newest lower-class
-          entry (multi-tenant scheduling only) *)
+          entry *)
 
 val overload_to_string : overload -> string
 
@@ -45,5 +45,9 @@ type t = {
           first dispatch.  Queue wait = [dispatched_us - submitted_us]
           in the latency decomposition. *)
 }
+
+val now_us : unit -> float
+(** Wall-clock microseconds: the time base of every request timestamp
+    and deadline.  The serve layer reads the clock only through this. *)
 
 val expired : now_us:float -> t -> bool

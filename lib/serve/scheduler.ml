@@ -68,20 +68,35 @@ type breaker = {
   mutable open_until : float;  (** wall-clock us; probe after this *)
 }
 
+(* One SLO class's share of the outcome ledger.  The server-wide
+   [submitted]/[completed]/[shed]/[rejected]/[failed] counts are the
+   sums over classes, so the two views cannot disagree.  The latency
+   histogram lives in a private registry: per scheduler, so several
+   servers in one process don't mix, and bounded in memory however many
+   requests are served. *)
+type account = {
+  cls : string;
+  mutable a_submitted : int;
+  mutable a_completed : int;
+  mutable a_shed : int;
+  mutable a_rejected : int;
+  mutable a_failed : int;
+  mutable a_deadline_met : int;
+  latency_us : Metrics.histogram;
+}
+
 type t = {
   mu : Mutex.t;
   nonempty : Condition.t;
   done_cond : Condition.t;
   queue : Request.t Rq.t;
-  (* SLO mode (multi-tenant zoo): per-model class assignments drive
-     class-priority + EDF dispatch, a fair-share floor, and
-     displacement shedding.  Empty [slos] = legacy single-tenant
-     behavior, byte-for-byte (oldest-head FIFO across models). *)
   slos : (string, Slo.t) Hashtbl.t;
-  slo_mode : bool;
+      (** per-model SLO classes; read-only after [create], so lock-free
+          readers ([default_deadline_us]) are safe *)
   floor_period : int;
       (** every [floor_period]-th dispatch goes to the least-served
-          model instead of the highest class - the fair-share floor *)
+          model instead of the highest class - the fair-share floor;
+          0 = no floor *)
   served : (string, int) Hashtbl.t;  (** dispatches per model *)
   mutable dispatches : int;
   retries : Request.t Stdlib.Queue.t;
@@ -101,22 +116,18 @@ type t = {
   mutable outstanding : int;  (** admitted, outcome not yet recorded *)
   mutable draining : bool;
   mutable stopped : bool;
-  mutable submitted : int;
-  mutable rejected : int;
-  mutable shed : int;
   mutable shed_admission : int;
       (** refused at submit: deadline already past on arrival *)
   mutable displaced : int;
       (** queued lower-class requests evicted for higher-class arrivals *)
   mutable floor_picks : int;  (** dispatches taken by the fair-share floor *)
-  mutable completed : int;
-  mutable failed : int;
   mutable degraded : int;
   mutable batches : int;
   mutable retried : int;
   mutable duplicates : int;
   mutable breaker_opens : int;
   mutable breaker_closes : int;
+  classes : account array;  (** the per-class ledger, by [Slo.rank] *)
   (* obs: published so `serve --metrics` and the smoke test see the
      runtime from the outside *)
   m_depth : Metrics.gauge;
@@ -145,17 +156,19 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
   List.iter (fun (m, s) -> Hashtbl.replace slo_table m s) slos;
   if fair_share_floor < 0. || fair_share_floor > 0.5 then
     invalid_arg "Scheduler.create: fair_share_floor must be in [0, 0.5]";
+  let ledger = Metrics.create () in
   {
     mu = Mutex.create ();
     nonempty = Condition.create ();
     done_cond = Condition.create ();
     queue = Rq.create ~depth:queue_depth;
     slos = slo_table;
-    slo_mode = slos <> [];
     (* floor share f reserves every round(1/f)-th dispatch; f = 0
-       disables the floor (pure strict priority). *)
+       disables the floor (pure strict priority).  Without SLOs every
+       model is Best_effort: there is no class priority to starve
+       under, so there is no floor either. *)
     floor_period =
-      (if fair_share_floor <= 0. then 0
+      (if slos = [] || fair_share_floor <= 0. then 0
        else max 2 (int_of_float (Float.round (1. /. fair_share_floor))));
     served = Hashtbl.create 8;
     dispatches = 0;
@@ -173,20 +186,30 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     outstanding = 0;
     draining = false;
     stopped = false;
-    submitted = 0;
-    rejected = 0;
-    shed = 0;
     shed_admission = 0;
     displaced = 0;
     floor_picks = 0;
-    completed = 0;
-    failed = 0;
     degraded = 0;
     batches = 0;
     retried = 0;
     duplicates = 0;
     breaker_opens = 0;
     breaker_closes = 0;
+    classes =
+      Array.of_list
+        (List.map
+           (fun cls ->
+             {
+               cls;
+               a_submitted = 0;
+               a_completed = 0;
+               a_shed = 0;
+               a_rejected = 0;
+               a_failed = 0;
+               a_deadline_met = 0;
+               latency_us = Metrics.histogram ledger (cls ^ ".latency_us");
+             })
+           Slo.all_class_names);
     m_depth = Metrics.gauge r "serve.queue_depth";
     m_submitted = Metrics.counter r "serve.submitted";
     m_rejected = Metrics.counter r "serve.rejected";
@@ -203,8 +226,6 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     m_displaced = Metrics.counter r "serve.displaced";
   }
 
-let now_us () = Unix.gettimeofday () *. 1e6
-
 let locked t f =
   Mutex.lock t.mu;
   match f () with
@@ -214,6 +235,16 @@ let locked t f =
   | exception e ->
       Mutex.unlock t.mu;
       raise e
+
+(* The SLO class a model was registered with; unregistered models are
+   best-effort. *)
+let slo_of t model =
+  match Hashtbl.find_opt t.slos model with
+  | Some s -> s
+  | None -> Slo.Best_effort
+
+let default_deadline_us t model = Slo.default_deadline_us (slo_of t model)
+let account t model = t.classes.(Slo.rank (slo_of t model))
 
 let publish_depth t = Metrics.set t.m_depth (float_of_int (Rq.length t.queue))
 
@@ -278,17 +309,22 @@ let complete_locked t (req : Request.t) outcome =
   end
   else begin
     Hashtbl.replace t.resolved req.id ();
+    let a = account t req.model in
     (match outcome with
-    | Request.Done { degraded; _ } ->
-        t.completed <- t.completed + 1;
+    | Request.Done { degraded; latency_us; _ } ->
+        a.a_completed <- a.a_completed + 1;
         if degraded then t.degraded <- t.degraded + 1;
         Metrics.inc t.m_completed;
-        if degraded then Metrics.inc t.m_degraded
+        if degraded then Metrics.inc t.m_degraded;
+        Metrics.observe a.latency_us latency_us;
+        (* met = served by the same deadline the scheduler sheds by *)
+        if not (Request.expired ~now_us:(req.submitted_us +. latency_us) req)
+        then a.a_deadline_met <- a.a_deadline_met + 1
     | Request.Overloaded _ ->
-        t.shed <- t.shed + 1;
+        a.a_shed <- a.a_shed + 1;
         Metrics.inc t.m_shed
     | Request.Failed _ ->
-        t.failed <- t.failed + 1;
+        a.a_failed <- a.a_failed + 1;
         Metrics.inc t.m_failed);
     if Trace.active () then
       Trace.flow_end ~phase:"serve" req.trace "request"
@@ -322,7 +358,7 @@ let breaker_instant model transition =
 
 let open_breaker_locked t model (b : breaker) =
   b.bstate <- `Open;
-  b.open_until <- now_us () +. t.breaker_cooldown_us;
+  b.open_until <- Request.now_us () +. t.breaker_cooldown_us;
   t.breaker_opens <- t.breaker_opens + 1;
   Metrics.inc t.m_breaker_open;
   breaker_instant model "open";
@@ -372,13 +408,6 @@ let breaker_tick_locked (b : breaker) ~now =
   if b.bstate = `Open && now >= b.open_until then b.bstate <- `Half_open;
   b.bstate
 
-(* The SLO class a model was registered with; unregistered models (and
-   all models outside slo_mode) are best-effort. *)
-let slo_of t model =
-  match Hashtbl.find_opt t.slos model with
-  | Some s -> s
-  | None -> Slo.Best_effort
-
 (* Displacement shedding: the queue is full and a request of a strictly
    higher class (lower rank) wants in.  Evict the NEWEST queued request
    of the LOWEST class present that ranks strictly below the arrival -
@@ -425,24 +454,22 @@ let displace_locked t ~for_rank =
 
 let submit t (req : Request.t) =
   locked t (fun () ->
+      let a = account t req.model in
+      let refuse reason =
+        a.a_rejected <- a.a_rejected + 1;
+        Metrics.inc t.m_rejected;
+        Error reason
+      in
       let broken =
         t.breaker_threshold > 0
         &&
         match Hashtbl.find_opt t.breakers req.model with
         | None -> false
-        | Some b -> breaker_tick_locked b ~now:(now_us ()) = `Open
+        | Some b -> breaker_tick_locked b ~now:(Request.now_us ()) = `Open
       in
-      if t.stopped || t.draining then begin
-        t.rejected <- t.rejected + 1;
-        Metrics.inc t.m_rejected;
-        Error Request.Shutting_down
-      end
-      else if broken then begin
-        t.rejected <- t.rejected + 1;
-        Metrics.inc t.m_rejected;
-        Error Request.Breaker_open
-      end
-      else if Request.expired ~now_us:(now_us ()) req then begin
+      if t.stopped || t.draining then refuse Request.Shutting_down
+      else if broken then refuse Request.Breaker_open
+      else if Request.expired ~now_us:(Request.now_us ()) req then begin
         (* Dead on arrival: refuse at admission instead of letting the
            corpse occupy queue space until dispatch-time shedding.  A
            refusal never increments [submitted]/[outstanding], so it is
@@ -450,9 +477,7 @@ let submit t (req : Request.t) =
            lost = 0 invariant) and separately as [shed_admission]; the
            obs shed counter ticks too, with this distinct reason
            visible as [serve.shed_admission]. *)
-        t.rejected <- t.rejected + 1;
         t.shed_admission <- t.shed_admission + 1;
-        Metrics.inc t.m_rejected;
         Metrics.inc t.m_shed;
         Metrics.inc t.m_shed_admission;
         if Trace.active () then
@@ -461,21 +486,16 @@ let submit t (req : Request.t) =
               [
                 ("model", Trace.Str req.model); ("id", Trace.Int req.id);
               ];
-        Error Request.Deadline_exceeded
+        refuse Request.Deadline_exceeded
       end
       else if
         not
           (Rq.push t.queue ~model:req.model req
-          || t.slo_mode
-             && displace_locked t ~for_rank:(Slo.rank (slo_of t req.model))
+          || displace_locked t ~for_rank:(Slo.rank (slo_of t req.model))
              && Rq.push t.queue ~model:req.model req)
-      then begin
-        t.rejected <- t.rejected + 1;
-        Metrics.inc t.m_rejected;
-        Error Request.Queue_full
-      end
+      then refuse Request.Queue_full
       else begin
-        t.submitted <- t.submitted + 1;
+        a.a_submitted <- a.a_submitted + 1;
         t.outstanding <- t.outstanding + 1;
         Metrics.inc t.m_submitted;
         publish_depth t;
@@ -490,7 +510,7 @@ let submit t (req : Request.t) =
 (* Shed every queued request past its deadline; their outcome is the
    structured overload, never a silent drop. *)
 let shed_expired_locked t =
-  let now = now_us () in
+  let now = Request.now_us () in
   let dead = Rq.remove_if t.queue (Request.expired ~now_us:now) in
   List.iter
     (fun (r : Request.t) ->
@@ -498,35 +518,19 @@ let shed_expired_locked t =
     dead;
   if dead <> [] then publish_depth t
 
-(* Under the lock: find the dispatchable model whose head request is the
-   oldest (global FIFO fairness across models).  Legacy single-tenant
-   policy, kept bit-identical when no SLOs are registered. *)
-let pick_fifo_locked t =
-  let now = now_us () in
-  let draining = t.draining || t.stopped in
-  List.fold_left
-    (fun best model ->
-      match Rq.oldest t.queue ~model with
-      | None -> best
-      | Some (head : Request.t) -> (
-          let pending = Rq.pending t.queue ~model in
-          let wait = now -. head.submitted_us in
-          match Batcher.decide t.policy ~pending ~oldest_wait_us:wait ~draining with
-          | Batcher.Wait -> best
-          | Batcher.Dispatch n -> (
-              match best with
-              | Some (_, _, best_sub) when best_sub <= head.submitted_us -> best
-              | _ -> Some (model, n, head.submitted_us))))
-    None (Rq.models t.queue)
+(* Under the lock: the one dispatch policy - strict class priority with
+   two refinements.
 
-(* Multi-tenant pick: strict class priority with two refinements.
-
-   Order among dispatchable candidates is (class rank, key): inside the
-   Latency class the key is the head request's absolute deadline
-   (earliest-deadline-first - the workload is feasibility-constrained,
-   and EDF is optimal for it on a single resource); inside Throughput
-   and Best_effort the key is head submission time (FIFO - nothing to
-   be early FOR, so oldest-first minimizes mean wait).
+   Order among dispatchable candidates is (class rank, key, head id):
+   inside the Latency class the key is the head request's absolute
+   deadline (earliest-deadline-first - the workload is
+   feasibility-constrained, and EDF is optimal for it on a single
+   resource); inside Throughput and Best_effort the key is head
+   submission time (FIFO - nothing to be early FOR, so oldest-first
+   minimizes mean wait).  Two heads stamped in the same microsecond
+   are common, so the earlier-minted request id breaks exact ties.
+   With no SLOs registered every model is Best_effort, so the order is
+   plain oldest-head FIFO across models.
 
    The fair-share floor keeps strict priority from starving the bottom
    class under sustained overload: every [floor_period]-th dispatch is
@@ -536,57 +540,51 @@ let pick_fifo_locked t =
    bounded below by the floor share instead of rounding to zero.  The
    floor redirects dispatch order only; it never bypasses the batcher's
    window decision, so a floor pick is still a legal batch. *)
-let pick_slo_locked t =
-  let now = now_us () in
+let pick_locked t =
+  let now = Request.now_us () in
   let draining = t.draining || t.stopped in
-  let candidates =
-    List.filter_map
-      (fun model ->
+  let served model =
+    Option.value ~default:0 (Hashtbl.find_opt t.served model)
+  in
+  let floor_turn =
+    t.floor_period > 0 && t.dispatches mod t.floor_period = t.floor_period - 1
+  in
+  let order model (head : Request.t) =
+    let slo = slo_of t model in
+    let key =
+      match (slo, head.deadline_us) with
+      | Slo.Latency _, Some d -> d
+      | _ -> head.submitted_us
+    in
+    (* least-served first on a floor turn; rank then key break ties *)
+    ((if floor_turn then served model else 0), Slo.rank slo, key, head.id)
+  in
+  let best =
+    List.fold_left
+      (fun best model ->
         match Rq.oldest t.queue ~model with
-        | None -> None
+        | None -> best
         | Some (head : Request.t) -> (
             let pending = Rq.pending t.queue ~model in
             let wait = now -. head.submitted_us in
             match
               Batcher.decide t.policy ~pending ~oldest_wait_us:wait ~draining
             with
-            | Batcher.Wait -> None
-            | Batcher.Dispatch n ->
-                let slo = slo_of t model in
-                let key =
-                  match (slo, head.deadline_us) with
-                  | Slo.Latency _, Some d -> d
-                  | _ -> head.submitted_us
-                in
-                Some (model, n, Slo.rank slo, key)))
-      (Rq.models t.queue)
+            | Batcher.Wait -> best
+            | Batcher.Dispatch n -> (
+                let o = order model head in
+                match best with
+                | Some (o', _, _) when compare o' o <= 0 -> best
+                | _ -> Some (o, model, n))))
+      None (Rq.models t.queue)
   in
-  match candidates with
-  | [] -> None
-  | _ ->
-      let served model =
-        Option.value ~default:0 (Hashtbl.find_opt t.served model)
-      in
-      let floor_turn =
-        t.floor_period > 0 && t.dispatches mod t.floor_period = t.floor_period - 1
-      in
-      let better (m, _, r, k) (m', _, r', k') =
-        if floor_turn then
-          (* least-served first; rank then key break ties deterministically *)
-          compare (served m, r, k, m) (served m', r', k', m') < 0
-        else compare (r, k, m) (r', k', m') < 0
-      in
-      let (model, n, _, _) =
-        List.fold_left
-          (fun best c -> if better c best then c else best)
-          (List.hd candidates) (List.tl candidates)
-      in
+  Option.map
+    (fun (_, model, n) ->
       if floor_turn then t.floor_picks <- t.floor_picks + 1;
       t.dispatches <- t.dispatches + 1;
       Hashtbl.replace t.served model (served model + 1);
-      Some (model, n, 0.)
-
-let pick_locked t = if t.slo_mode then pick_slo_locked t else pick_fifo_locked t
+      (model, n))
+    best
 
 (* Shed every queued request of a model whose breaker is open: the
    fast-rejection contract extends to requests admitted just before the
@@ -595,7 +593,7 @@ let pick_locked t = if t.slo_mode then pick_slo_locked t else pick_fifo_locked t
    too, so a model with no new submissions still gets its probe. *)
 let shed_broken_locked t =
   if t.breaker_threshold > 0 then begin
-    let now = now_us () in
+    let now = Request.now_us () in
     List.iter
       (fun model ->
         match Hashtbl.find_opt t.breakers model with
@@ -622,13 +620,13 @@ let rec take_retry_locked t =
   match Stdlib.Queue.take_opt t.retries with
   | None -> None
   | Some (r : Request.t) ->
-      if Request.expired ~now_us:(now_us ()) r then begin
+      if Request.expired ~now_us:(Request.now_us ()) r then begin
         complete_locked t r (Request.Overloaded Request.Deadline_exceeded);
         take_retry_locked t
       end
       else begin
         t.batches <- t.batches + 1;
-        let now = now_us () in
+        let now = Request.now_us () in
         r.dispatched_us <- now;
         Metrics.observe t.m_wait_us (now -. r.submitted_us);
         Some { model = r.model; requests = [ r ] }
@@ -645,11 +643,11 @@ let dispatch_locked t =
   | None -> (
       match pick_locked t with
       | None -> None
-      | Some (model, n, _) ->
+      | Some (model, n) ->
           let requests = Rq.take t.queue ~model ~max:n in
           publish_depth t;
           t.batches <- t.batches + 1;
-          let now = now_us () in
+          let now = Request.now_us () in
           List.iter
             (fun (r : Request.t) ->
               r.dispatched_us <- now;
@@ -772,6 +770,43 @@ let shutdown t =
       Condition.broadcast t.done_cond);
   wake t
 
+type class_stats = {
+  cls : string;
+  submitted : int;
+  completed : int;
+  shed : int;
+  rejected : int;
+  failed : int;
+  deadline_met : int;
+  mean_us : float;
+  p50_us : float;
+  p95_us : float;
+  p99_us : float;
+}
+
+(* Classes that saw no traffic at all are left out. *)
+let class_stats t =
+  locked t (fun () ->
+      Array.to_list t.classes
+      |> List.filter_map (fun a ->
+             if a.a_submitted + a.a_rejected = 0 then None
+             else
+               let q = Metrics.quantile a.latency_us in
+               Some
+                 {
+                   cls = a.cls;
+                   submitted = a.a_submitted;
+                   completed = a.a_completed;
+                   shed = a.a_shed;
+                   rejected = a.a_rejected;
+                   failed = a.a_failed;
+                   deadline_met = a.a_deadline_met;
+                   mean_us = Metrics.hist_mean a.latency_us;
+                   p50_us = q 0.50;
+                   p95_us = q 0.95;
+                   p99_us = q 0.99;
+                 }))
+
 type stats = {
   submitted : int;
   rejected : int;
@@ -794,15 +829,16 @@ type stats = {
 
 let stats t =
   locked t (fun () ->
+      let total f = Array.fold_left (fun acc a -> acc + f a) 0 t.classes in
       {
-        submitted = t.submitted;
-        rejected = t.rejected;
-        shed = t.shed;
+        submitted = total (fun a -> a.a_submitted);
+        rejected = total (fun a -> a.a_rejected);
+        shed = total (fun a -> a.a_shed);
         shed_admission = t.shed_admission;
         displaced = t.displaced;
         floor_picks = t.floor_picks;
-        completed = t.completed;
-        failed = t.failed;
+        completed = total (fun a -> a.a_completed);
+        failed = total (fun a -> a.a_failed);
         degraded = t.degraded;
         batches = t.batches;
         outstanding = t.outstanding;

@@ -29,19 +29,29 @@ val create :
     [breaker_cooldown_us] (default 5000) is how long an open breaker
     refuses before admitting a half-open probe.
 
-    [slos] switches the scheduler into multi-tenant mode: per-model SLO
-    classes drive strict class priority (Latency > Throughput >
-    Best_effort), earliest-deadline-first inside the Latency class, and
-    displacement shedding (a full queue evicts the newest lowest-class
-    entry - completed as [Overloaded Displaced] - to admit a
-    higher-class arrival).  With [slos = []] (default) scheduling is
-    the legacy oldest-head FIFO, unchanged.
+    [slos] assigns per-model SLO classes (unlisted models are
+    [Best_effort]); the table is fixed at creation.  There is one
+    dispatch order: strict class priority (Latency > Throughput >
+    Best_effort), earliest-deadline-first inside the Latency class,
+    oldest head first inside the others, the earlier request id on
+    exact ties.  With [slos = []] every model shares one class, so
+    that order is oldest-head FIFO across models.  A full queue admits a
+    higher-class arrival by displacement: it evicts the newest entry
+    of the lowest class below it, completed as [Overloaded Displaced];
+    an arrival never displaces its own class.
 
-    [fair_share_floor] (default 0.125, multi-tenant mode only) reserves
-    every [round(1/floor)]-th dispatch for the least-served model
-    regardless of class, so Best_effort keeps making progress under
-    sustained overload; [0.] disables the floor (pure strict priority).
+    [fair_share_floor] (default 0.125) reserves every
+    [round(1/floor)]-th dispatch for the least-served model regardless
+    of class, so Best_effort keeps making progress under sustained
+    overload; [0.] disables the floor (pure strict priority).  The
+    floor is derived as 0 when [slos = []]: with one class there is no
+    priority to starve under.
     @raise Invalid_argument outside [0, 0.5]. *)
+
+val default_deadline_us : t -> string -> float option
+(** The relative deadline the model's SLO class gives a request
+    submitted without one ({!Slo.default_deadline_us}).  Lock-free: the
+    SLO table is read-only after {!create}. *)
 
 val submit : t -> Request.t -> (unit, Request.overload) result
 (** Admit or refuse.  Refusals ([Queue_full], [Shutting_down],
@@ -120,6 +130,32 @@ val drain_with : t -> pump:(unit -> unit) -> unit
 
 val shutdown : t -> unit
 (** Stop accepting and let workers exit once the queue empties. *)
+
+type class_stats = {
+  cls : string;  (** "latency" | "throughput" | "best-effort" *)
+  submitted : int;  (** admitted requests *)
+  completed : int;
+  shed : int;  (** overloaded after admission (deadline, displaced...) *)
+  rejected : int;  (** refused at admission *)
+  failed : int;
+  deadline_met : int;
+      (** completions no later than the request's own absolute
+          deadline - the one it is shed by; every completion counts
+          for a request without a deadline *)
+  mean_us : float;
+  p50_us : float;
+  p95_us : float;
+  p99_us : float;
+      (** completed-request latency; the quantiles are log-bucket
+          histogram estimates (within ~9.5%, see {!Astitch_obs.Metrics}) *)
+}
+
+val class_stats : t -> class_stats list
+(** The per-class ledger, in class rank order, omitting classes with
+    no submission, admitted or refused.  It is kept by the same code that keeps {!stats}, so
+    its [submitted], [completed], [shed], [rejected] and [failed] sum
+    over classes to the server-wide counts.  A model without a
+    registered SLO counts as best-effort. *)
 
 type stats = {
   submitted : int;

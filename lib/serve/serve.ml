@@ -38,12 +38,10 @@ type config = {
   breaker_cooldown_us : float;  (** open-breaker fast-reject window *)
   wedge_timeout_us : float;  (** stale-heartbeat bound mid-batch *)
   restart_backoff_us : float;  (** base worker-respawn delay *)
-  slos : (string * Slo.t) list;
-      (** per-model SLO classes; non-empty switches the scheduler into
-          multi-tenant class-priority mode *)
+  slos : (string * Slo.t) list;  (** per-model SLO classes *)
   fair_share_floor : float;
-      (** fraction of dispatches reserved for the least-served model
-          (multi-tenant mode); 0 = pure strict priority *)
+      (** fraction of dispatches reserved for the least-served model;
+          0 = pure strict priority *)
 }
 
 let default_config =
@@ -71,7 +69,6 @@ type t = {
   scheduler : Scheduler.t;
   pool : Worker_pool.t;
   models : (string, Worker_pool.model_state) Hashtbl.t;
-  slos : (string, Slo.t) Hashtbl.t;
   next_id : int Atomic.t;
   mutable closed : bool;
 }
@@ -149,14 +146,11 @@ let create ?(config = default_config) models =
       ~wedge_timeout_us:config.wedge_timeout_us
       ~restart_backoff_us:config.restart_backoff_us ~workers:config.workers
   in
-  let slo_table = Hashtbl.create 8 in
-  List.iter (fun (m, s) -> Hashtbl.replace slo_table m s) config.slos;
   {
     config;
     scheduler;
     pool;
     models = table;
-    slos = slo_table;
     next_id = Atomic.make 1;
     closed = false;
   }
@@ -176,18 +170,15 @@ type ticket = int
 
 let submit_async ?deadline_us t ~model ~params =
   ignore (model_state t model);
-  let now = Unix.gettimeofday () *. 1e6 in
+  let now = Request.now_us () in
   (* Deadline precedence: explicit per-request > the model's SLO-class
      default (Latency class carries one) > the server-wide default. *)
   let rel =
     match deadline_us with
     | Some _ as d -> d
     | None -> (
-        match Hashtbl.find_opt t.slos model with
-        | Some slo -> (
-            match Slo.default_deadline_us slo with
-            | Some _ as d -> d
-            | None -> t.config.default_deadline_us)
+        match Scheduler.default_deadline_us t.scheduler model with
+        | Some _ as d -> d
         | None -> t.config.default_deadline_us)
   in
   let id = Atomic.fetch_and_add t.next_id 1 in
@@ -319,6 +310,7 @@ let stats t =
     breaker_closes = s.Scheduler.breaker_closes;
   }
 
+let class_stats t = Scheduler.class_stats t.scheduler
 let context_pool_sizes t = Worker_pool.context_counts t.pool
 
 type supervision = Worker_pool.supervision = {

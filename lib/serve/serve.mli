@@ -51,25 +51,28 @@ type config = {
       (** base delay before respawning a dead worker; doubles per
           consecutive death (capped at 128x) *)
   slos : (string * Slo.t) list;
-      (** per-model SLO classes.  Non-empty switches the scheduler into
-          multi-tenant mode: strict class priority with EDF inside the
-          Latency class, a fair-share floor, and displacement shedding.
-          A model with a [Latency] class inherits its deadline as the
-          per-request default.  Empty (default) keeps the legacy FIFO
-          scheduler.
+      (** per-model SLO classes; unlisted models are [Best_effort].
+          The scheduler dispatches by strict class priority with EDF
+          inside the Latency class and oldest head first elsewhere, and
+          a full queue displaces a lower class to admit a higher one
+          (see {!Scheduler.create}).  With no SLOs every model shares
+          one class, so dispatch is oldest-head FIFO across models.  A
+          model with a [Latency] class inherits its deadline as the
+          per-request default.
           Listing an unregistered model is an [Invalid_argument]. *)
   fair_share_floor : float;
-      (** fraction of dispatches reserved for the least-served model in
-          multi-tenant mode (default 0.125 = every 8th dispatch), so
-          Best_effort tenants keep making progress under overload;
-          [0.] = pure strict priority *)
+      (** fraction of dispatches reserved for the least-served model
+          (default 0.125 = every 8th dispatch), so Best_effort tenants
+          keep making progress under overload; [0.] = pure strict
+          priority.  Without SLOs there is no priority to starve under,
+          and the floor is off. *)
 }
 
 val default_config : config
 (** 2 workers, max_batch 8, 2ms window, depth 64, no deadline, v100,
     cache 64, no verification, seed 42; retry budget 2, breaker
     threshold 4 / cooldown 5ms, wedge timeout 50ms, restart backoff
-    1ms; no SLOs (legacy FIFO scheduling), fair-share floor 1/8. *)
+    1ms; no SLOs (oldest-head FIFO dispatch), fair-share floor 1/8. *)
 
 type t
 
@@ -152,10 +155,10 @@ type stats = {
           [serve.shed_admission] metrics) *)
   displaced : int;
       (** queued lower-SLO-class requests evicted to admit higher-class
-          arrivals (subset of [shed]; multi-tenant mode only) *)
+          arrivals (subset of [shed]; 0 without SLOs) *)
   floor_picks : int;
       (** dispatches the fair-share floor redirected to the
-          least-served model (multi-tenant mode only) *)
+          least-served model (0 without SLOs) *)
   completed : int;
   failed : int;
   degraded : int;
@@ -178,6 +181,10 @@ type stats = {
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
+
+val class_stats : t -> Scheduler.class_stats list
+(** The scheduler's per-SLO-class ledger ({!Scheduler.class_stats}):
+    every outcome the server records, however it is collected. *)
 
 type phase_latency = {
   phase : string;

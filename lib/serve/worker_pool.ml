@@ -118,8 +118,6 @@ type t = {
   g_alive : Metrics.gauge;
 }
 
-let now_us () = Unix.gettimeofday () *. 1e6
-
 let sup_locked pool f =
   Mutex.lock pool.sup_mu;
   match f () with
@@ -291,7 +289,7 @@ let serve_fallback pool m (requests : Request.t list) =
           if Trace.active () then
             Trace.flow_step ~phase:"serve" req.trace "request"
               ~attrs:[ ("hop", Trace.Str "fallback") ];
-          let t_pack = now_us () in
+          let t_pack = Request.now_us () in
           match
             Session.compile_resilient pool.arch (m.spec.Batching.build 1)
           with
@@ -299,13 +297,13 @@ let serve_fallback pool m (requests : Request.t list) =
               Scheduler.complete pool.scheduler req
                 (Request.Failed (Astitch_plan.Compile_error.to_string e))
           | Ok { result; _ } -> (
-              let t_exec = now_us () in
+              let t_exec = Request.now_us () in
               match
                 Executor.run result.Session.plan
                   ~params:(m.shared @ req.params)
               with
               | outputs ->
-                  let t_unpack = now_us () in
+                  let t_unpack = Request.now_us () in
                   observe_phases pool req ~t_pack ~t_exec ~t_unpack
                     ~t_done:t_unpack;
                   complete_done pool ~t_done:t_unpack ~batch_size:1
@@ -388,21 +386,21 @@ let serve_batch pool (batch : Scheduler.batch) =
            a cold-model compile surfaces as a compile error, not as
            corrupt execution, and must not poison this batch. *)
         let fired0 = Fault_site.fired () in
-        let t_pack = now_us () in
+        let t_pack = Request.now_us () in
         let pid = Trace.span_begin ~phase:"serve" "pack" in
         let packed =
           Batching.pack m.spec ~batch:exec_rows
             (List.map (fun (r : Request.t) -> r.params) batch.requests)
         in
         Trace.span_end pid;
-        let t_exec = now_us () in
+        let t_exec = Request.now_us () in
         (* [run_context] opens the executor's own "run-context" span; it
            nests under this batch span via the domain stack, so the
            per-kernel exec spans are already parented correctly. *)
         let outputs =
           Executor.run_context ~batch:n ctx ~params:(m.shared @ packed)
         in
-        let t_unpack = now_us () in
+        let t_unpack = Request.now_us () in
         let uid = Trace.span_begin ~phase:"serve" "unpack" in
         let per_request = Batching.unpack m.spec ~count:n outputs in
         Trace.span_end uid;
@@ -424,7 +422,7 @@ let serve_batch pool (batch : Scheduler.batch) =
         (per_request, t_pack, t_exec, t_unpack)
       with
       | per_request, t_pack, t_exec, t_unpack ->
-          let t_done = now_us () in
+          let t_done = Request.now_us () in
           List.iter2
             (fun req outs ->
               observe_phases pool req ~t_pack ~t_exec ~t_unpack ~t_done;
@@ -533,12 +531,12 @@ let set_inflight pool slot batch =
    itself always returns normally, so [Domain.join] never re-raises. *)
 let worker_body pool slot () =
   let rec go () =
-    Atomic.set slot.hb (now_us ());
+    Atomic.set slot.hb (Request.now_us ());
     match Scheduler.next_batch pool.scheduler with
     | None -> sup_locked pool (fun () -> slot.wstate <- W_stopped)
     | Some batch ->
         set_inflight pool slot (Some batch);
-        Atomic.set slot.hb (now_us ());
+        Atomic.set slot.hb (Request.now_us ());
         (* Injected worker failure point: batch in hand, not yet
            served - the harshest spot to die.  Raise kills the domain,
            stall freezes it (wedge detection), corrupt is treated as
@@ -557,7 +555,7 @@ let worker_body pool slot () =
           pool.restart_backoff_us
           *. Float.of_int (1 lsl Stdlib.min 7 (slot.deaths - 1))
         in
-        slot.restart_at <- now_us () +. backoff);
+        slot.restart_at <- Request.now_us () +. backoff);
     if Trace.active () then begin
       Trace.instant ~phase:"serve" "worker-death"
         ~attrs:[ ("worker", Trace.Int slot.wid) ];
@@ -588,7 +586,7 @@ let workers_alive_locked pool =
      and recovered.  If the worker eventually finishes anyway, the
      scheduler's first-wins completion discards the late outcome. *)
 let supervise_once pool =
-  let now = now_us () in
+  let now = Request.now_us () in
   let to_recover = ref [] in
   let to_restart = ref [] in
   let stolen = ref [] in
@@ -687,7 +685,7 @@ let create ~scheduler ~models ~cache ~arch ~verify_every ~retry_budget
         Array.init workers (fun wid ->
             {
               wid;
-              hb = Atomic.make (now_us ());
+              hb = Atomic.make (Request.now_us ());
               dom = None;
               inflight = None;
               wstate = W_running;

@@ -4,9 +4,9 @@
     A zoo wraps {!Serve} with the multi-tenant policy surface: every
     model registers with an {!Slo.t} class, which drives the
     scheduler's class-priority/EDF dispatch, its fair-share floor, and
-    per-request default deadlines; outcomes are additionally accounted
-    per class ({!class_stats}), which is what the CLI's per-class
-    p99 and goodput table reads.
+    per-request default deadlines.  The scheduler also keeps the
+    per-class ledger ({!class_stats}) that the CLI's per-class p99 and
+    goodput table reads.
 
     The plan store closes the compile-once loop across process
     restarts: {!prewarm} loads every registered model's one max-batch
@@ -62,12 +62,6 @@ val server : t -> Serve.t
 (** The underlying server (trace/metrics surfaces, supervision,
     drain). *)
 
-val slo : t -> model:string -> Slo.t
-(** @raise Invalid_argument on an unknown model. *)
-
-val models : t -> (string * Slo.t) list
-(** Registered models in registration order. *)
-
 type ticket = Serve.ticket
 
 val submit_async :
@@ -76,13 +70,14 @@ val submit_async :
   model:string ->
   params:(string * Tensor.t) list ->
   (ticket, Request.overload) result
-(** {!Serve.submit_async} plus per-class accounting.
+(** {!Serve.submit_async}, refused until {!prewarm} has run.
     @raise Invalid_argument on an unknown model or before {!prewarm}. *)
 
 val await : t -> ticket -> Request.outcome
-(** Blocks for the outcome and folds it into the per-class accounts. *)
+(** {!Serve.await}. *)
 
 val poll : t -> ticket -> Request.outcome option
+(** {!Serve.poll}. *)
 
 val submit :
   ?deadline_us:float ->
@@ -90,17 +85,16 @@ val submit :
   model:string ->
   params:(string * Tensor.t) list ->
   Request.outcome
+(** {!Serve.submit}, refused until {!prewarm} has run. *)
 
-type class_stats = {
-  cls : string;  (** "latency" | "throughput" | "best-effort" *)
-  submitted : int;  (** admitted requests *)
+type class_stats = Scheduler.class_stats = {
+  cls : string;
+  submitted : int;
   completed : int;
-  shed : int;  (** overloaded after admission (deadline, displaced...) *)
-  rejected : int;  (** refused at admission *)
+  shed : int;
+  rejected : int;
   failed : int;
   deadline_met : int;
-      (** completions within the class deadline (equals [completed]
-          for classes without one) *)
   mean_us : float;
   p50_us : float;
   p95_us : float;
@@ -108,9 +102,10 @@ type class_stats = {
 }
 
 val class_stats : t -> class_stats list
-(** Per-SLO-class accounting over every outcome observed via
-    {!await}/{!poll}, in class rank order.  Goodput for a class is
-    [deadline_met] (or [completed]) over the run's wall time. *)
+(** The scheduler's per-SLO-class ledger ({!Scheduler.class_stats}),
+    in class rank order: every outcome the server records, whether it
+    was collected through this module or through {!server}.  Goodput
+    for a class is [deadline_met] over the run's wall time. *)
 
 val drain : t -> unit
 

@@ -16,11 +16,15 @@
    - displacement shedding: a full queue evicts its newest
      strictly-lower-class entry (completed [Overloaded Displaced]) to
      admit a higher-class arrival, and never displaces an equal class;
-   - with [slos = []] everything above is off: legacy FIFO picks.
+   - with [slos = []] everything above is off: oldest-head FIFO picks,
+     checked against an oracle over random scripts;
+   - the per-class ledger: deadline met against the request's own
+     deadline, refusals as rejections, sums equal to the server's.
 
    Zoo level (caller-runs, a cheap batchable builder):
    - traffic is refused before prewarm;
-   - per-class accounting sums to the outcomes observed;
+   - per-class accounting sums to the outcomes observed, however they
+     are collected;
    - the plan store round-trips across zoo restarts: cold prewarm
      compiles and saves, warm prewarm loads everything and compiles
      nothing, and the served outputs are bit-identical either way;
@@ -231,6 +235,131 @@ let test_legacy_fifo_unchanged () =
   Scheduler.shutdown s;
   Scheduler.dispose s
 
+(* With no SLOs registered the one class-priority pick degenerates to
+   oldest-head FIFO across models: over random scripts of submissions
+   (distinct, out-of-order submission stamps; a queue small enough to
+   fill) and picks, every dispatch takes the head with the oldest stamp
+   of a per-model FIFO oracle, every refusal is [Queue_full], and the
+   floor and displacement never act, with the default floor share. *)
+let test_no_slos_is_fifo () =
+  let models = [| "A"; "B"; "C"; "D" |] and depth = 6 in
+  let st = Random.State.make [| 15 |] in
+  for script = 1 to 250 do
+    let s =
+      Scheduler.create ~slos:[]
+        ~policy:(Batcher.policy ~max_batch:1 ~max_wait_us:0.)
+        ~queue_depth:depth ()
+    in
+    let oracle = Hashtbl.create 4 in
+    Array.iter
+      (fun m -> Hashtbl.replace oracle m (Stdlib.Queue.create ()))
+      models;
+    let pending () =
+      Hashtbl.fold (fun _ q n -> n + Stdlib.Queue.length q) oracle 0
+    in
+    let oldest_head () =
+      Hashtbl.fold
+        (fun _ q best ->
+          match (Stdlib.Queue.peek_opt q, best) with
+          | None, _ -> best
+          | Some (r : Request.t), Some (b : Request.t)
+            when b.submitted_us < r.submitted_us ->
+              best
+          | Some r, _ -> Some r)
+        oracle None
+    in
+    let base = Request.now_us () in
+    let pick () =
+      match (Scheduler.try_next_batch s, oldest_head ()) with
+      | `Empty, None -> ()
+      | `Batch { Scheduler.requests = [ r ]; _ }, Some (want : Request.t) ->
+          if r.Request.id <> want.id then
+            Alcotest.failf "script %d: picked %s#%d, FIFO head is %s#%d" script
+              r.model r.id want.model want.id;
+          ignore (Stdlib.Queue.pop (Hashtbl.find oracle want.model));
+          Scheduler.complete s r done_outcome
+      | _ -> Alcotest.failf "script %d: pick disagrees with the oracle" script
+    in
+    for op = 0 to 39 do
+      if Random.State.int st 3 = 0 then pick ()
+      else begin
+        let model = models.(Random.State.int st (Array.length models)) in
+        let req =
+          {
+            (mk_req ~model ()) with
+            (* distinct stamps, in random order relative to submission *)
+            submitted_us =
+              base -. float_of_int ((Random.State.int st 1000 * 1000) + op);
+          }
+        in
+        match Scheduler.submit s req with
+        | Ok () -> Stdlib.Queue.push req (Hashtbl.find oracle model)
+        | Error Request.Queue_full ->
+            check_int "refused only when full" depth (pending ())
+        | Error o ->
+            Alcotest.failf "script %d: refused %s" script
+              (Request.overload_to_string o)
+      end
+    done;
+    while pending () > 0 do
+      pick ()
+    done;
+    pick ();
+    let stats = Scheduler.stats s in
+    check_int "no floor picks" 0 stats.Scheduler.floor_picks;
+    check_int "no displacement" 0 stats.Scheduler.displaced;
+    Scheduler.shutdown s;
+    Scheduler.dispose s
+  done
+
+(* The class ledger lives in the scheduler: a completion later than the
+   request's own deadline counts as completed but not met, a refusal
+   counts as rejected, and the per-class sums are the server totals. *)
+let test_class_ledger () =
+  let s =
+    mk_sched
+      ~slos:[ ("L", Slo.Latency { deadline_us = 1e6 }); ("E", Slo.Best_effort) ]
+      ()
+  in
+  let late = mk_req ~model:"L" ~deadline_us:1e6 () in
+  let prompt = mk_req ~model:"L" ~deadline_us:1e6 () in
+  let free = mk_req ~model:"E" () in
+  List.iter (submit_ok s) [ late; prompt; free ];
+  let finish (r : Request.t) latency_us =
+    Scheduler.complete s r
+      (Request.Done { outputs = []; latency_us; batch = 1; degraded = false })
+  in
+  finish late 2e6;
+  finish prompt 10.;
+  finish free 5e9;
+  (match Scheduler.submit s (mk_req ~model:"L" ~deadline_us:(-1.) ()) with
+  | Error Request.Deadline_exceeded -> ()
+  | _ -> Alcotest.fail "expired request not refused");
+  let find c =
+    match
+      List.find_opt
+        (fun (r : Scheduler.class_stats) -> r.cls = c)
+        (Scheduler.class_stats s)
+    with
+    | Some r -> r
+    | None -> Alcotest.failf "class %s missing" c
+  in
+  let lat = find "latency" and be = find "best-effort" in
+  check_int "latency submitted" 2 lat.submitted;
+  check_int "latency completed" 2 lat.completed;
+  check_int "late completion not met" 1 lat.deadline_met;
+  check_int "refusal rejected" 1 lat.rejected;
+  check_int "no deadline: met" 1 be.deadline_met;
+  check_bool "untouched class omitted" true
+    (List.for_all
+       (fun (r : Scheduler.class_stats) -> r.cls <> "throughput")
+       (Scheduler.class_stats s));
+  let st = Scheduler.stats s in
+  check_int "server submitted = class sum" 3 st.Scheduler.submitted;
+  check_int "server rejected = class sum" 1 st.Scheduler.rejected;
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
 (* --- Zoo level ------------------------------------------------------------- *)
 
 (* The cheap batchable fixture: dense layer + softmax over shared
@@ -322,6 +451,28 @@ let test_class_accounting () =
   check_int "best-effort submitted" 3 be.Zoo.submitted;
   check_int "best-effort completed" 3 be.Zoo.completed;
   check_bool "latency p99 recorded" true (lat.Zoo.p99_us > 0.);
+  Zoo.shutdown zoo
+
+(* The ledger sees every outcome the server records, including one
+   collected through the underlying server rather than the zoo. *)
+let test_ledger_counts_server_await () =
+  let zoo = Zoo.create ~config:(zoo_config ()) registrations in
+  ignore (Zoo.prewarm zoo);
+  let server = Zoo.server zoo in
+  let params = Serve.random_request server ~model:"mlp" ~seed:1 in
+  (match Zoo.submit_async zoo ~model:"mlp" ~params with
+  | Ok ticket -> (
+      match Serve.await server ticket with
+      | Request.Done _ -> ()
+      | _ -> Alcotest.fail "request not served")
+  | Error o -> Alcotest.failf "refused: %s" (Request.overload_to_string o));
+  (match Zoo.class_stats zoo with
+  | [ (lat : Zoo.class_stats) ] ->
+      check_int "submitted" 1 lat.submitted;
+      check_int "completed" 1 lat.completed;
+      check_int "deadline met" 1 lat.deadline_met
+  | _ -> Alcotest.fail "expected exactly the latency class");
+  check_int "server completed" 1 (Serve.stats server).Serve.completed;
   Zoo.shutdown zoo
 
 let test_store_roundtrip_across_restart () =
@@ -424,6 +575,10 @@ let () =
           Alcotest.test_case "displacement shedding" `Quick test_displacement;
           Alcotest.test_case "legacy FIFO unchanged without slos" `Quick
             test_legacy_fifo_unchanged;
+          Alcotest.test_case "no SLOs = oldest-head FIFO (250 scripts)" `Quick
+            test_no_slos_is_fifo;
+          Alcotest.test_case "class ledger: met, completed, rejected" `Quick
+            test_class_ledger;
         ] );
       ( "zoo",
         [
@@ -431,6 +586,8 @@ let () =
             test_refuses_traffic_before_prewarm;
           Alcotest.test_case "per-class accounting" `Quick
             test_class_accounting;
+          Alcotest.test_case "ledger counts Serve.await outcomes" `Quick
+            test_ledger_counts_server_await;
           Alcotest.test_case "plan store round-trip across restart" `Quick
             test_store_roundtrip_across_restart;
           Alcotest.test_case "bit-identity gate accepts intact store" `Quick

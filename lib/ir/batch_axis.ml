@@ -79,6 +79,8 @@ let scaled_axis = function Scaled { axis; _ } -> Some axis | Invariant -> None
 let analyze ~(g1 : Graph.t) ~(g2 : Graph.t) : (cls array, string) result =
   let n = Graph.num_nodes g1 in
   if Graph.num_nodes g2 <> n then Error "node count changes with batch"
+  else if Graph.outputs g2 <> Graph.outputs g1 then
+    Error "output list changes with batch"
   else begin
     let cls = Array.make n Invariant in
     let err = ref None in
@@ -166,6 +168,8 @@ let validate_at (cls : cls array) ~(base : Graph.t) ~(at : Graph.t) ~batch :
     (unit, string) result =
   let n = Graph.num_nodes base in
   if Graph.num_nodes at <> n then Error "node count changes with batch"
+  else if Graph.outputs at <> Graph.outputs base then
+    Error "output list changes with batch"
   else begin
     let err = ref None in
     (let exception Stop in

@@ -1,26 +1,25 @@
-(* Dynamic-batching shape analysis, packing and unpacking.
+(* Dynamic-batching classification, packing and unpacking.
 
    The batcher may merge requests only when the merged execution is
    BIT-IDENTICAL to running each request alone - the whole contract of
    the serving runtime.  That property is per-builder: a builder family
-   [build : batch -> graph] qualifies when every parameter either keeps
-   its shape as the batch grows (a shared weight) or scales exactly one
-   axis linearly with the batch (a per-request input), and every output
-   does the same.  We discover the classification structurally instead
-   of trusting annotations: build the graph at batch 1 and at batch 2,
-   diff every parameter and output shape, and reject anything that does
-   not fit ([Not_batchable]).  The numeric half of the contract - no op
+   [build : batch -> graph] qualifies when every node either keeps its
+   shape as the batch grows or scales exactly one, effectively
+   outermost, axis linearly with it.  [Batch_axis.analyze] is the one
+   classifier: it diffs the batch-1 and batch-2 builds node by node, and
+   [analyze] reads each parameter's and output's axis straight off that
+   classification - a scaled parameter is a per-request input, an
+   invariant one a shared weight - and rejects anything the classifier
+   refuses ([Not_batchable]).  The numeric half of the contract - no op
    mixes rows across requests - cannot be decided from shapes alone; it
    is enforced by the bit-identity test suite over every served builder
    (zoo workloads and random graphs), and double-checked at runtime by
    the [verify] sampling hook in the worker pool.
 
    Packing concatenates each per-request parameter along its batch axis
-   in request order and pads the tail batch by replicating the last
-   request's binding (replication keeps padded rows numerically benign -
-   no zeros flowing into logs or rsqrt that the real rows never see).
-   Unpacking slices each output back along its batch axis; padded rows
-   are simply never read. *)
+   in request order - exactly one row block per request, nothing
+   padded.  Unpacking slices each output back along its batch axis and
+   copies batch-invariant outputs whole to every request. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -32,81 +31,51 @@ let not_batchable fmt = Printf.ksprintf (fun m -> raise (Not_batchable m)) fmt
 type axis_info = { axis : int; extent : int }
 
 type spec = {
-  build : int -> Graph.t;
   base : Graph.t;
-  fingerprint : string;
+  cls : Batch_axis.cls array;
   request_params : (string * axis_info) list;
   shared_params : (string * Shape.t) list;
   outputs : axis_info option list;
 }
 
-(* --- Shape diffing ------------------------------------------------------- *)
+(* --- Classification ------------------------------------------------------ *)
 
-(* Classify one (batch-1 shape, batch-2 shape) pair: equal shapes are
-   batch-invariant; exactly one axis doubling is the batch axis. *)
-let diff_axis ~what s1 s2 =
-  let d1 = Shape.to_list s1 and d2 = Shape.to_list s2 in
-  if List.length d1 <> List.length d2 then
-    not_batchable "%s: rank changes with batch (%s vs %s)" what
-      (Shape.to_string s1) (Shape.to_string s2);
-  let diffs =
-    List.mapi (fun i d -> (i, d, List.nth d2 i)) d1
-    |> List.filter (fun (_, a, b) -> a <> b)
-  in
-  match diffs with
-  | [] -> None
-  | [ (axis, e1, e2) ] when e2 = 2 * e1 -> Some { axis; extent = e1 }
-  | _ ->
-      not_batchable "%s: shape does not scale one axis linearly (%s vs %s)"
-        what (Shape.to_string s1) (Shape.to_string s2)
-
-let param_shapes g =
-  List.map
-    (fun id ->
-      match Graph.op g id with
-      | Op.Parameter { name } -> (name, Graph.shape g id)
-      | _ -> assert false)
-    (Graph.parameters g)
-
-let output_shapes g = List.map (Graph.shape g) (Graph.outputs g)
+(* Parameters and outputs are nodes, so their axes are read off the
+   node classification: a scaled node is per-request along its batch
+   axis, an invariant one is shared (parameters) or copied to every
+   request (outputs). *)
+let axis_info = function
+  | Batch_axis.Invariant -> None
+  | Batch_axis.Scaled { axis; unit } -> Some { axis; extent = unit }
 
 let analyze build =
   let base = build 1 in
-  let g2 = build 2 in
-  let p1 = param_shapes base and p2 = param_shapes g2 in
-  if List.length p1 <> List.length p2 then
-    not_batchable "parameter count changes with batch (%d vs %d)"
-      (List.length p1) (List.length p2);
-  let request_params, shared_params =
-    List.fold_left
-      (fun (req, shared) (name, s1) ->
-        match List.assoc_opt name p2 with
-        | None -> not_batchable "parameter %s disappears at batch 2" name
-        | Some s2 -> (
-            match diff_axis ~what:("parameter " ^ name) s1 s2 with
-            | Some info -> ((name, info) :: req, shared)
-            | None -> (req, (name, s1) :: shared)))
-      ([], []) p1
+  let cls =
+    match Batch_axis.analyze ~g1:base ~g2:(build 2) with
+    | Ok cls -> cls
+    | Error reason -> raise (Not_batchable reason)
   in
-  let o1 = output_shapes base and o2 = output_shapes g2 in
-  if List.length o1 <> List.length o2 then
-    not_batchable "output count changes with batch (%d vs %d)"
-      (List.length o1) (List.length o2);
-  let outputs =
-    List.mapi
-      (fun i s1 ->
-        diff_axis ~what:(Printf.sprintf "output %d" i) s1 (List.nth o2 i))
-      o1
+  let request_params, shared_params =
+    List.partition_map
+      (fun id ->
+        let name =
+          match Graph.op base id with
+          | Op.Parameter { name } -> name
+          | _ -> assert false
+        in
+        match axis_info cls.(id) with
+        | Some info -> Left (name, info)
+        | None -> Right (name, Graph.shape base id))
+      (Graph.parameters base)
   in
   if request_params = [] then
     not_batchable "no per-request parameters: nothing to batch";
   {
-    build;
     base;
-    fingerprint = Fingerprint.of_graph base;
-    request_params = List.rev request_params;
-    shared_params = List.rev shared_params;
-    outputs;
+    cls;
+    request_params;
+    shared_params;
+    outputs = List.map (fun id -> axis_info cls.(id)) (Graph.outputs base);
   }
 
 (* --- Tensor surgery along an axis ---------------------------------------- *)
@@ -197,20 +166,12 @@ let check_request spec params =
               (Shape.to_string want))
     spec.request_params
 
-let pack spec ~batch requests =
-  let n = List.length requests in
-  if n = 0 then invalid_arg "Batching.pack: no requests";
-  if n > batch then
-    invalid_arg
-      (Printf.sprintf "Batching.pack: %d requests exceed batch %d" n batch);
+let pack spec requests =
+  if requests = [] then invalid_arg "Batching.pack: no requests";
   List.iter (check_request spec) requests;
-  let last = List.nth requests (n - 1) in
-  let padded =
-    requests @ List.init (batch - n) (fun _ -> last)
-  in
   List.map
     (fun (name, info) ->
-      let parts = List.map (fun r -> List.assoc name r) padded in
+      let parts = List.map (List.assoc name) requests in
       let packed = concat_axis ~axis:info.axis parts in
       (* serving-runtime fault site: raise models a failed pack,
          corrupt perturbs one cell of the freshly concatenated tensor

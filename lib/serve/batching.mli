@@ -1,13 +1,13 @@
-(** Dynamic-batching shape analysis, packing and unpacking.
+(** Dynamic-batching classification, packing and unpacking.
 
-    A builder family [build : batch -> graph] is batchable when every
-    parameter and output either keeps its shape across batch sizes
-    (shared) or scales exactly one axis linearly with the batch
-    (per-request).  [analyze] discovers that classification by diffing
-    the graphs at batch 1 and 2; [pack]/[unpack] then move request
-    tensors in and out of a batched execution such that, for
-    row-independent builders, batched results are bit-identical to
-    running every request alone. *)
+    A builder family [build : batch -> graph] is batchable when
+    {!Batch_axis.analyze} classifies it - every node keeps its shape
+    across batch sizes or scales one outermost axis linearly with the
+    batch - and it has at least one per-request parameter.  [analyze]
+    reads each parameter's and output's axis off that node
+    classification; [pack]/[unpack] then move request tensors in and
+    out of a batched execution such that, for row-independent builders,
+    batched results are bit-identical to running every request alone. *)
 
 open Astitch_ir
 open Astitch_tensor
@@ -20,9 +20,9 @@ type axis_info = {
 }
 
 type spec = {
-  build : int -> Graph.t;
   base : Graph.t;  (** the batch-1 graph *)
-  fingerprint : string;  (** of [base]; the batching-compatibility key *)
+  cls : Batch_axis.cls array;
+      (** the node classification [Batch_axis.analyze] gave, by node id *)
   request_params : (string * axis_info) list;  (** packed per request *)
   shared_params : (string * Shape.t) list;  (** weights, bound once *)
   outputs : axis_info option list;
@@ -30,20 +30,20 @@ type spec = {
 }
 
 val analyze : (int -> Graph.t) -> spec
-(** Classify a builder family.  Builds the graph at batch 1 and 2.
-    @raise Not_batchable when any shape fails to classify. *)
+(** Classify a builder family.  Builds the graph at batch 1 and 2, once
+    each, and runs {!Batch_axis.analyze} on the pair.
+    @raise Not_batchable with the classifier's node-level reason, or
+    when no parameter scales with the batch. *)
 
-val pack :
-  spec -> batch:int -> (string * Tensor.t) list list -> (string * Tensor.t) list
-(** Concatenate up to [batch] requests' bindings along their batch axes,
-    padding the tail by replicating the last request.  Validates every
-    request against the spec.
+val pack : spec -> (string * Tensor.t) list list -> (string * Tensor.t) list
+(** Concatenate the requests' bindings along their batch axes: [n]
+    requests pack into exactly [n] row blocks.  Validates every request
+    against the spec.
     @raise Not_batchable on a binding mismatch. *)
 
 val unpack : spec -> count:int -> Tensor.t list -> Tensor.t list list
-(** Slice batched outputs back into [count] per-request output lists.
-    Padded rows are dropped; batch-invariant outputs are copied to every
-    request. *)
+(** Slice batched outputs back into [count] per-request output lists;
+    batch-invariant outputs are copied to every request. *)
 
 val concat_axis : axis:int -> Tensor.t list -> Tensor.t
 (** Row-major concatenation along [axis] (exposed for tests). *)

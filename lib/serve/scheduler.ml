@@ -101,9 +101,10 @@ type t = {
   mutable dispatches : int;
   retries : Request.t Stdlib.Queue.t;
       (** failed-batch requests awaiting solo re-dispatch *)
-  resolved : (int, unit) Hashtbl.t;
-      (** ids whose outcome already landed - makes completion
-          first-wins under wedge-steal double execution *)
+  unsettled : (int, unit) Hashtbl.t;
+      (** admitted ids whose outcome has not landed yet - makes
+          completion first-wins under wedge-steal double execution, and
+          holds exactly [outstanding] entries *)
   breakers : (string, breaker) Hashtbl.t;
   breaker_threshold : int;  (** consecutive failures to open; 0 = off *)
   breaker_cooldown_us : float;
@@ -173,7 +174,7 @@ let create ?(breaker_threshold = 4) ?(breaker_cooldown_us = 5_000.)
     served = Hashtbl.create 8;
     dispatches = 0;
     retries = Stdlib.Queue.create ();
-    resolved = Hashtbl.create 64;
+    unsettled = Hashtbl.create 64;
     breakers = Hashtbl.create 8;
     breaker_threshold;
     breaker_cooldown_us;
@@ -298,17 +299,18 @@ let outcome_label = function
 (* Record an outcome under the scheduler lock and wake waiters.
    First-wins: wedge recovery may steal and re-execute a batch whose
    original worker eventually finishes too, so the same id can complete
-   twice.  The first outcome is the one delivered; later attempts are
-   counted as duplicates and dropped without touching [outstanding].
+   twice.  The first outcome is the one delivered and settles the id;
+   a completion whose id is no longer unsettled is counted as a
+   duplicate and dropped without touching [outstanding].
    The winning completion terminates the request's flow arrow ("f"), so
    every admitted flow ends exactly once whatever path resolved it. *)
 let complete_locked t (req : Request.t) outcome =
-  if Hashtbl.mem t.resolved req.id then begin
+  if not (Hashtbl.mem t.unsettled req.id) then begin
     t.duplicates <- t.duplicates + 1;
     Metrics.inc t.m_duplicate
   end
   else begin
-    Hashtbl.replace t.resolved req.id ();
+    Hashtbl.remove t.unsettled req.id;
     let a = account t req.model in
     (match outcome with
     | Request.Done { degraded; latency_us; _ } ->
@@ -497,6 +499,7 @@ let submit t (req : Request.t) =
       else begin
         a.a_submitted <- a.a_submitted + 1;
         t.outstanding <- t.outstanding + 1;
+        Hashtbl.replace t.unsettled req.id ();
         Metrics.inc t.m_submitted;
         publish_depth t;
         Condition.signal t.nonempty;
@@ -698,6 +701,7 @@ let try_next_batch t =
 
 let poll_interval_s t = t.poll_s
 let outstanding t = locked t (fun () -> t.outstanding)
+let unsettled t = locked t (fun () -> Hashtbl.length t.unsettled)
 
 (* Re-admit a request from a failed batch for a solo re-dispatch.  No
    admission control: the request is already admitted, already counted

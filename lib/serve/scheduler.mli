@@ -95,10 +95,17 @@ val dispose : t -> unit
 val outstanding : t -> int
 (** Admitted requests whose outcome has not yet been recorded. *)
 
+val unsettled : t -> int
+(** Entries in the first-wins id table: the admitted ids whose outcome
+    has not landed.  Equals [outstanding]; exposed so tests can check
+    the table stays bounded by in-flight work. *)
+
 val complete : t -> Request.t -> Request.outcome -> unit
 (** Record the outcome for an admitted request and wake waiters.
-    Idempotent, first-wins: completing an already-resolved request is
-    counted as a duplicate and otherwise ignored, so wedge-steal
+    Idempotent, first-wins: the first completion settles the id, and
+    completing a request that is not unsettled (already resolved, or
+    never admitted) is counted as a duplicate and otherwise ignored,
+    so wedge-steal
     double execution can't corrupt the accounting.  The winning
     completion terminates the request's flow arrow. *)
 

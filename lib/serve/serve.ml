@@ -1,16 +1,17 @@
 (* The serving front end: load models, submit requests, get outcomes.
 
-   [create] analyzes every registered builder for batchability, fixes
-   its shared weights deterministically from the config seed (a served
-   model's weights do not change between requests - only per-request
+   [create] classifies every registered builder once - it must be
+   SHAPE-POLYMORPHIC ([Batching.analyze] over [Batch_axis.analyze],
+   cross-checked at [max_batch] by [validate_at]) - fixes its shared
+   weights deterministically from the config seed (a served model's
+   weights do not change between requests - only per-request
    parameters do), and spins up the scheduler plus worker pool.  Each
-   builder must also be SHAPE-POLYMORPHIC ([Batch_axis.analyze],
-   cross-checked at [max_batch] by [validate_at]): it compiles one plan
-   at [max_batch] and serves every batch size 1..max on that single
-   context by prefix rebinding, so batches execute at exactly their
-   request count - no padded rows.  After that the surface is small:
-   [submit]/[submit_async] with per-request bindings, [drain] to flush,
-   [shutdown] to stop, [stats] to look.
+   model compiles one plan from its one [max_batch] graph and serves
+   every batch size 1..max on that single context by prefix rebinding,
+   so batches execute at exactly their request count - no padded rows.
+   After that the surface is small: [submit]/[submit_async] with
+   per-request bindings, [drain] to flush, [shutdown] to stop, [stats]
+   to look.
 
    Admission control is the submit path: a request either comes back
    with a ticket (its outcome will land) or with the structured
@@ -78,27 +79,46 @@ type t = {
 let model_seed ~seed name =
   seed + (Hashtbl.hash name land 0xffff)
 
-(* A builder family is served only shape-polymorphically: the
-   node-level batch-axis classification must succeed on the {1,2} diff
-   AND hold at [max_batch] (catching locally-linear families).  A
-   family that fails is refused with the analyzer's first reason. *)
-let batch_plan ~max_batch (m : model) =
-  let g1 = m.build ~batch:1 in
-  let classified =
-    Result.bind (Batch_axis.analyze ~g1 ~g2:(m.build ~batch:2)) (fun cls ->
-        if max_batch <= 2 then Ok cls
-        else
-          Batch_axis.validate_at cls ~base:g1
-            ~at:(m.build ~batch:max_batch)
-            ~batch:max_batch
-          |> Result.map (fun () -> cls))
+(* Classify a model once ([Batching.analyze] over its batch-1 and
+   batch-2 builds), build the [max_batch] graph every context compiles
+   and check the classification there ([validate_at] catches
+   locally-linear families).  Builds are shared by size, so each size
+   is built once.  A refusal names the model and the reason. *)
+let load ~config (m : model) =
+  let built = Hashtbl.create 3 in
+  let build batch =
+    match Hashtbl.find_opt built batch with
+    | Some g -> g
+    | None ->
+        let g = m.build ~batch in
+        Hashtbl.add built batch g;
+        g
   in
-  match classified with
-  | Ok cls -> { Batch_axis.max_batch; cls }
-  | Error reason ->
-      invalid_arg
-        (Printf.sprintf "Serve.create: model %s is not shape-polymorphic: %s"
-           m.name reason)
+  let refuse reason =
+    invalid_arg
+      (Printf.sprintf "Serve.create: model %s is not batchable: %s" m.name
+         reason)
+  in
+  let spec =
+    try Batching.analyze build
+    with Batching.Not_batchable reason -> refuse reason
+  in
+  let max_batch = config.max_batch in
+  let graph = build max_batch in
+  (match
+     Batch_axis.validate_at spec.cls ~base:spec.base ~at:graph ~batch:max_batch
+   with
+  | Ok () -> ()
+  | Error reason -> refuse reason);
+  {
+    Worker_pool.spec;
+    shared =
+      Batching.random_shared spec ~seed:(model_seed ~seed:config.seed m.name);
+    batch_plan = { Batch_axis.max_batch; cls = spec.cls };
+    graph;
+    mu = Mutex.create ();
+    ctxs = ref [];
+  }
 
 let create ?(config = default_config) models =
   if models = [] then invalid_arg "Serve.create: no models";
@@ -110,18 +130,7 @@ let create ?(config = default_config) models =
     (fun m ->
       if Hashtbl.mem table m.name then
         invalid_arg (Printf.sprintf "Serve.create: duplicate model %s" m.name);
-      let spec = Batching.analyze (fun b -> m.build ~batch:b) in
-      let shared =
-        Batching.random_shared spec ~seed:(model_seed ~seed:config.seed m.name)
-      in
-      Hashtbl.add table m.name
-        {
-          Worker_pool.spec;
-          shared;
-          batch_plan = batch_plan ~max_batch:config.max_batch m;
-          mu = Mutex.create ();
-          ctxs = ref [];
-        })
+      Hashtbl.add table m.name (load ~config m))
     models;
   let policy =
     Batcher.policy ~max_batch:config.max_batch ~max_wait_us:config.max_wait_us
@@ -161,6 +170,7 @@ let model_state t name =
   | None -> invalid_arg (Printf.sprintf "Serve: unknown model %s" name)
 
 let spec t ~model = (model_state t model).Worker_pool.spec
+let graph t ~model = (model_state t model).Worker_pool.graph
 
 let warm t = Worker_pool.warm t.pool
 let plan_cache t = Worker_pool.plan_cache t.pool

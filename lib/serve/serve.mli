@@ -17,8 +17,8 @@ open Astitch_tensor
 type model = {
   name : string;
   build : batch:int -> Graph.t;
-      (** must be batchable per [Batching.analyze] and
-          shape-polymorphic per [Batch_axis.analyze] *)
+      (** must be batchable per [Batching.analyze]: shape-polymorphic
+          per [Batch_axis.analyze], with a per-request parameter *)
 }
 
 type config = {
@@ -77,12 +77,15 @@ val default_config : config
 type t
 
 val create : ?config:config -> model list -> t
-(** Analyze every builder for batchability and shape polymorphism, fix
-    shared weights deterministically, spawn the workers.
-    @raise Batching.Not_batchable if a builder cannot batch.
+(** Classify every builder once ({!Batching.analyze}, which runs
+    {!Batch_axis.analyze} on its batch-1 and batch-2 builds), build its
+    [max_batch] graph and check the classification there
+    ({!Batch_axis.validate_at}); each batch size is built exactly once.
+    Then fix shared weights deterministically and spawn the workers.
     @raise Invalid_argument on duplicate or empty model lists, or when a
-    builder is not shape-polymorphic (the message names the model and
-    the analyzer's first node-level reason). *)
+    builder cannot be served batched (the message names the model and
+    the analyzer's reason: the first failing node, or no per-request
+    parameter). *)
 
 val warm : t -> unit
 (** Pre-compile every model's single max-batch context so first
@@ -129,6 +132,10 @@ val random_request : t -> model:string -> seed:int -> (string * Tensor.t) list
     benches). *)
 
 val spec : t -> model:string -> Batching.spec
+
+val graph : t -> model:string -> Graph.t
+(** The model's one [max_batch] graph, built at [create]: every context
+    compiles it, and its fingerprint keys the plan cache and store. *)
 
 val context_pool_sizes : t -> (string * int) list
 (** Free pooled executor contexts per model, sorted by name.  After a

@@ -51,6 +51,9 @@ type model_state = {
   batch_plan : Batch_axis.plan;
       (** the classification every context compiled at
           [batch_plan.max_batch] carries *)
+  graph : Graph.t;
+      (** the one [batch_plan.max_batch] graph every context compiles;
+          built once at load, so its fingerprint is computed once *)
   mu : Mutex.t;  (** guards [ctxs] *)
   ctxs : Executor.context list ref;  (** free shape-polymorphic contexts *)
 }
@@ -141,10 +144,9 @@ let model_locked m f =
 (* --- Context pool -------------------------------------------------------- *)
 
 let compile_at_max pool m =
-  let g = m.spec.Batching.build m.batch_plan.Batch_axis.max_batch in
   let result, outcome =
     Session.compile_cached pool.cache Astitch_core.Astitch.full_backend
-      pool.arch g
+      pool.arch m.graph
   in
   (match outcome with
   | Plan_cache.Miss | Plan_cache.Bypassed ->
@@ -201,12 +203,11 @@ let checkin m ctx = model_locked m (fun () -> m.ctxs := ctx :: !(m.ctxs))
 let quarantine pool m ~model ~reason =
   Atomic.incr pool.n_quarantined;
   Metrics.inc pool.m_quarantine;
-  let compiled_at = m.batch_plan.Batch_axis.max_batch in
   let attrs =
     if Trace.active () then
       [
         ("model", Trace.Str model);
-        ("batch", Trace.Int compiled_at);
+        ("batch", Trace.Int m.batch_plan.Batch_axis.max_batch);
         ("reason", Trace.Str reason);
       ]
     else []
@@ -217,8 +218,7 @@ let quarantine pool m ~model ~reason =
   Trace.with_span ~attrs ~phase:"serve" "quarantine" (fun () ->
       ignore
         (Session.uncache pool.cache Astitch_core.Astitch.full_backend
-           pool.arch
-           (m.spec.Batching.build compiled_at)));
+           pool.arch m.graph));
   if Trace.active () then ignore (Flight.incident ~attrs ~reason:"quarantine" ())
 
 (* --- Serving one batch --------------------------------------------------- *)
@@ -290,9 +290,7 @@ let serve_fallback pool m (requests : Request.t list) =
             Trace.flow_step ~phase:"serve" req.trace "request"
               ~attrs:[ ("hop", Trace.Str "fallback") ];
           let t_pack = Request.now_us () in
-          match
-            Session.compile_resilient pool.arch (m.spec.Batching.build 1)
-          with
+          match Session.compile_resilient pool.arch m.spec.Batching.base with
           | Error e ->
               Scheduler.complete pool.scheduler req
                 (Request.Failed (Astitch_plan.Compile_error.to_string e))
@@ -341,19 +339,26 @@ let recover_requests pool ~reason (batch : Scheduler.batch) =
           else serve_fallback pool m [ r ])
         batch.requests)
 
+(* Continuous batching packs exactly one row block per request and the
+   context rebinds to that prefix, so the padded count is 0 by
+   construction.  It is read off the packed extent rather than assumed,
+   so any future padding surfaces in every stats consumer. *)
+let count_padded pool (spec : Batching.spec) packed ~requests =
+  match spec.request_params with
+  | [] -> ()
+  | (name, { Batching.axis; extent }) :: _ ->
+      let rows =
+        Shape.dim (Tensor.shape (List.assoc name packed)) axis / extent
+      in
+      Metrics.add pool.m_padded (rows - requests);
+      ignore (Atomic.fetch_and_add pool.n_padded (rows - requests))
+
 let serve_batch pool (batch : Scheduler.batch) =
   let m = Hashtbl.find pool.models batch.model in
   let n = List.length batch.requests in
   let seq = Atomic.fetch_and_add pool.batch_counter 1 in
   Metrics.inc pool.m_batches;
   Metrics.observe pool.m_batch_size (float_of_int n);
-  (* Continuous batching packs exactly [n] rows and the context rebinds
-     to that prefix, so the padded count is 0 by construction.  The accounting stays wired to the
-     actual pack extent so any future padding would surface instead of
-     hiding. *)
-  let exec_rows = n in
-  Metrics.add pool.m_padded (exec_rows - n);
-  ignore (Atomic.fetch_and_add pool.n_padded (exec_rows - n));
   let attrs =
     [
       ("model", Trace.Str batch.model);
@@ -389,10 +394,11 @@ let serve_batch pool (batch : Scheduler.batch) =
         let t_pack = Request.now_us () in
         let pid = Trace.span_begin ~phase:"serve" "pack" in
         let packed =
-          Batching.pack m.spec ~batch:exec_rows
+          Batching.pack m.spec
             (List.map (fun (r : Request.t) -> r.params) batch.requests)
         in
         Trace.span_end pid;
+        count_padded pool m.spec packed ~requests:n;
         let t_exec = Request.now_us () in
         (* [run_context] opens the executor's own "run-context" span; it
            nests under this batch span via the domain stack, so the

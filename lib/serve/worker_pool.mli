@@ -27,6 +27,9 @@ type model_state = {
   batch_plan : Batch_axis.plan;
       (** from [Batch_axis.analyze] at load; every context is compiled at
           [batch_plan.max_batch] and carries it *)
+  graph : Graph.t;
+      (** the [batch_plan.max_batch] graph, built once at load: what
+          every checkout compiles and every quarantine evicts *)
   mu : Mutex.t;  (** guards [ctxs] *)
   ctxs : Executor.context list ref;  (** free contexts *)
 }

@@ -96,8 +96,7 @@ let prewarm t =
             | Error _ -> ()))
       in
       let handle model =
-        let spec = Serve.spec t.serve ~model in
-        let g = spec.Batching.build t.config.serve.Serve.max_batch in
+        let g = Serve.graph t.serve ~model in
         let fingerprint = Fingerprint.of_graph g in
         match t.store with
         | None -> compile_and_save g ~fingerprint

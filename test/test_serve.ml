@@ -1,12 +1,12 @@
 (* The batched serving runtime.
 
    The load-bearing claims, each tested directly:
-   - [Batching.analyze] classifies per-request vs shared parameters and
-     batch-carrying vs invariant outputs, and rejects builders that do
-     not scale exactly one axis;
-   - pack/unpack is lossless at ANY batch size (primes included),
-     batch-invariant outputs are copied whole to every request, and
-     when padding is asked for it replicates the last request;
+   - [Batching.analyze] reads per-request vs shared parameters and
+     batch-carrying vs invariant outputs off the [Batch_axis]
+     classification, and rejects builders that do not scale exactly
+     one axis;
+   - pack/unpack is lossless at ANY batch size (primes included), and
+     batch-invariant outputs are copied whole to every request;
    - symbolic batch extents: one plan compiled at max_batch rebinds to
      every smaller size bit-identically to a fresh fixed-extent
      compile (unit, every zoo model, and a qcheck property on random
@@ -16,10 +16,12 @@
      model - zero padded rows, one plan compile per model, for the mlp
      and for all five zoo models - and a queue that reaches max_batch
      wakes the worker without waiting out the window;
-   - the server refuses a builder whose batch axis is not outermost,
-     naming the model and the node;
-   - THE serving invariant: batched execution (including padded tail
-     batches) is bit-identical to running every request alone - as a
+   - the server refuses a builder it cannot batch - inner batch axis,
+     two scaling axes, no per-request parameter - naming the model and
+     the reason, and builds each model once at batch 1, 2 and
+     max_batch;
+   - THE serving invariant: batched execution at exactly the request
+     count is bit-identical to running every request alone - as a
      unit test on hand builders and every zoo workload at batch
      {1,3,8}, and as a qcheck property over random row-independent
      builders and random request counts;
@@ -143,11 +145,9 @@ let test_analyze_classifies () =
   check_int "batch axis 0" 0 info.axis;
   check_int "extent 1 at batch 1" 1 info.extent;
   check_int "four shared parameters" 4 (List.length spec.shared_params);
-  (match spec.outputs with
+  match spec.outputs with
   | [ Some { axis = 0; extent = 1 }; None ] -> ()
-  | _ -> Alcotest.fail "outputs misclassified");
-  check_bool "fingerprint is the batch-1 graph's" true
-    (String.equal spec.fingerprint (Fingerprint.of_graph (mlp_build ~batch:1)))
+  | _ -> Alcotest.fail "outputs misclassified"
 
 let test_analyze_rejects_two_axis () =
   match Batching.analyze (fun n -> two_axis_build ~batch:n) with
@@ -177,23 +177,10 @@ let test_concat_slice_roundtrip () =
         ts)
     [ 0; 1; 2 ]
 
-let test_pack_pads_with_last () =
-  let spec = Batching.analyze (fun n -> mlp_build ~batch:n) in
-  let reqs = List.init 3 (fun i -> Batching.random_request spec ~seed:(7 * i)) in
-  let packed = Batching.pack spec ~batch:4 reqs in
-  let x = List.assoc "x" packed in
-  check_bool "packed to the bucket" true
-    (Shape.equal (Tensor.shape x) (Shape.of_list [ 4; 6 ]));
-  let last = List.assoc "x" (List.nth reqs 2) in
-  check_bool "pad row replicates the last request" true
-    (bitwise_equal last (Batching.slice_axis ~axis:0 ~lo:3 ~hi:4 x));
-  check_bool "row 2 is the last request too" true
-    (bitwise_equal last (Batching.slice_axis ~axis:0 ~lo:2 ~hi:3 x))
-
 let test_pack_rejects_bad_shape () =
   let spec = Batching.analyze (fun n -> mlp_build ~batch:n) in
   let bad = [ ("x", Tensor.random ~seed:1 (Shape.of_list [ 1; 5 ])) ] in
-  match Batching.pack spec ~batch:1 [ bad ] with
+  match Batching.pack spec [ bad ] with
   | exception Batching.Not_batchable _ -> ()
   | _ -> Alcotest.fail "wrong-shaped binding must be rejected"
 
@@ -209,7 +196,7 @@ let test_pack_unpack_primes () =
         List.init n (fun i ->
             Batching.random_request spec ~seed:((n * 100) + i))
       in
-      let packed = Batching.pack spec ~batch:n reqs in
+      let packed = Batching.pack spec reqs in
       let x = List.assoc "x" packed in
       check_bool
         (Printf.sprintf "batch %d packs at exactly %d rows" n n)
@@ -240,50 +227,44 @@ let test_pack_unpack_primes () =
 
 (* --- Bit-identity -------------------------------------------------------- *)
 
-(* Run [count] requests through the batched graph at [bucket] (padding
-   when count < bucket) and compare every slice against solo batch-1
-   interpretation.  Pure interpreter - no compiler in the loop - so a
-   failure here indicts the batching transform itself. *)
-let assert_bit_identity ~what build ~count ~bucket =
+(* Run [count] requests through the batched graph at exactly [count]
+   and compare every slice against solo batch-1 interpretation.  Pure
+   interpreter - no compiler in the loop - so a failure here indicts
+   the batching transform itself. *)
+let assert_bit_identity ~what build ~count =
   let spec = Batching.analyze (fun n -> build ~batch:n) in
   let shared = Batching.random_shared spec ~seed:999 in
   let reqs = List.init count (fun i -> Batching.random_request spec ~seed:i) in
-  let packed = Batching.pack spec ~batch:bucket reqs in
+  let packed = Batching.pack spec reqs in
   let batched_out =
-    Interp.run (build ~batch:bucket) ~params:(shared @ packed)
+    Interp.run (build ~batch:count) ~params:(shared @ packed)
   in
   let sliced = Batching.unpack spec ~count batched_out in
   List.iteri
     (fun i req ->
       let solo = Interp.run spec.base ~params:(shared @ req) in
       check_outputs_identical
-        (Printf.sprintf "%s request %d/%d bucket %d" what i count bucket)
+        (Printf.sprintf "%s request %d/%d" what i count)
         solo (List.nth sliced i))
     reqs
 
 let test_bit_identity_mlp () =
-  assert_bit_identity ~what:"mlp" mlp_build ~count:4 ~bucket:4;
-  assert_bit_identity ~what:"mlp padded" mlp_build ~count:3 ~bucket:4;
-  assert_bit_identity ~what:"mlp solo" mlp_build ~count:1 ~bucket:1
+  assert_bit_identity ~what:"mlp" mlp_build ~count:4;
+  assert_bit_identity ~what:"mlp odd" mlp_build ~count:3;
+  assert_bit_identity ~what:"mlp solo" mlp_build ~count:1
 
 let prop_bit_identity_random =
   QCheck2.Test.make ~name:"random row-independent builders are batchable"
     ~count:40
     QCheck2.Gen.(pair (int_range 0 5_000) (int_range 1 8))
     (fun (seed, count) ->
-      let build = random_batchable ~seed in
-      let bucket =
-        let rec up b = if b >= count then b else up (2 * b) in
-        up 1
-      in
       assert_bit_identity
         ~what:(Printf.sprintf "random(seed=%d)" seed)
-        build ~count ~bucket;
+        (random_batchable ~seed) ~count;
       true)
 
-(* Every zoo workload, both through the interpreter (transform-level
-   identity) and through the full compiler + fused executor at batch
-   {1,3,8} - 3 exercises the padded tail into bucket 4. *)
+(* Every zoo workload through the full compiler + fused executor at
+   batch {1,3,8} - 3 is a size no power-of-two bucket holds exactly. *)
 let test_zoo_batched_build_compile_run () =
   List.iter
     (fun (e : Astitch_workloads.Zoo.entry) ->
@@ -302,15 +283,16 @@ let test_zoo_batched_build_compile_run () =
 let test_zoo_batched_bit_identity () =
   List.iter
     (fun (e : Astitch_workloads.Zoo.entry) ->
-      (* padded: 3 requests in bucket 4 *)
+      (* 3 requests at exactly batch 3 *)
       let spec = Batching.analyze (fun n -> e.batched ~batch:n) in
       let shared = Batching.random_shared spec ~seed:4242 in
       let reqs = List.init 3 (fun i -> Batching.random_request spec ~seed:i) in
-      let packed = Batching.pack spec ~batch:4 reqs in
-      let g4 = e.batched ~batch:4 in
-      let plan4 = Astitch_core.Astitch.compile Arch.v100 g4 in
+      let packed = Batching.pack spec reqs in
+      let plan3 =
+        Astitch_core.Astitch.compile Arch.v100 (e.batched ~batch:3)
+      in
       let batched_out =
-        Astitch_runtime.Executor.run plan4 ~params:(shared @ packed)
+        Astitch_runtime.Executor.run plan3 ~params:(shared @ packed)
       in
       let sliced = Batching.unpack spec ~count:3 batched_out in
       let plan1 = Astitch_core.Astitch.compile Arch.v100 spec.base in
@@ -320,7 +302,7 @@ let test_zoo_batched_bit_identity () =
             Astitch_runtime.Executor.run plan1 ~params:(shared @ req)
           in
           check_outputs_identical
-            (Printf.sprintf "%s padded request %d" e.name i)
+            (Printf.sprintf "%s batch-3 request %d" e.name i)
             solo (List.nth sliced i))
         reqs)
     Astitch_workloads.Zoo.all
@@ -355,7 +337,7 @@ let assert_symbolic_rebind ~what build ~max_batch =
   let shared = Batching.random_shared spec ~seed:77 in
   for b = 1 to max_batch do
     let reqs = List.init b (fun i -> Batching.random_request spec ~seed:i) in
-    let packed = Batching.pack spec ~batch:b reqs in
+    let packed = Batching.pack spec reqs in
     let params = shared @ packed in
     let rebound =
       Astitch_runtime.Executor.run_context ~batch:b ctx ~params
@@ -817,20 +799,110 @@ let test_poisoned_request_fails_alone () =
       check_int "nothing served degraded" 0 s.degraded;
       check_bool "both batchmates were retried solo" true (s.retried >= 2))
 
+(* Every refusal leaves [Serve.create] as one [Invalid_argument] naming
+   the model and the analyzer's reason, while [Batching.analyze] on the
+   same builder raises [Not_batchable]: a batch axis that is not
+   outermost (the reason names the node), two axes scaling, and no
+   per-request parameter. *)
 let test_non_polymorphic_refused () =
-  let model = { Serve.name = "inner-axis"; build = inner_axis_build } in
-  match Serve.create ~config:(serve_config ~workers:0 ()) [ model ] with
-  | exception Invalid_argument msg ->
-      let mentions sub =
-        let n = String.length sub and len = String.length msg in
-        let rec go i = i + n <= len && (String.sub msg i n = sub || go (i + 1)) in
-        go 0
+  List.iter
+    (fun (name, build, reason) ->
+      (match Batching.analyze (fun n -> build ~batch:n) with
+      | exception Batching.Not_batchable _ -> ()
+      | _ -> Alcotest.failf "%s: Batching.analyze accepted it" name);
+      let model = { Serve.name; build } in
+      match Serve.create ~config:(serve_config ~workers:0 ()) [ model ] with
+      | exception Invalid_argument msg ->
+          let mentions sub =
+            let n = String.length sub and len = String.length msg in
+            let rec go i =
+              i + n <= len && (String.sub msg i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          check_bool ("message names the model: " ^ msg) true (mentions name);
+          check_bool ("message gives the reason: " ^ msg) true
+            (mentions reason)
+      | server ->
+          Serve.shutdown server;
+          Alcotest.failf "%s was served" name)
+    [
+      ("inner-axis", inner_axis_build, "node %");
+      ("two-axis", two_axis_build, "node %");
+      ("weights-only", weights_only_build, "no per-request parameters");
+    ]
+
+(* A builder that counts its calls per batch size. *)
+let counting build =
+  let calls = Hashtbl.create 4 in
+  let build ~batch =
+    Hashtbl.replace calls batch
+      (1 + Option.value ~default:0 (Hashtbl.find_opt calls batch));
+    build ~batch
+  in
+  (build, calls)
+
+let total_builds calls = Hashtbl.fold (fun _ n acc -> acc + n) calls 0
+
+(* [Serve.create] builds each model exactly once at batch 1, 2 and
+   [max_batch]; the one max-batch graph then serves [warm], a
+   quarantine-driven recompile, and [Zoo.create] + [prewarm], none of
+   which builds again. *)
+let test_each_size_built_once () =
+  let max_batch = 4 in
+  let config = serve_config ~workers:0 ~max_batch () in
+  let dien =
+    List.find
+      (fun (e : Astitch_workloads.Zoo.entry) -> e.name = "DIEN")
+      Astitch_workloads.Zoo.all
+  in
+  List.iter
+    (fun (name, build) ->
+      let check_loaded what calls =
+        List.iter
+          (fun b ->
+            check_int
+              (Printf.sprintf "%s: %s builds batch %d once" name what b)
+              1
+              (Option.value ~default:0 (Hashtbl.find_opt calls b)))
+          [ 1; 2; max_batch ];
+        check_int (Printf.sprintf "%s: %s builds nothing else" name what) 3
+          (total_builds calls)
       in
-      check_bool ("message names the model: " ^ msg) true (mentions "inner-axis");
-      check_bool ("message names the node: " ^ msg) true (mentions "node %")
-  | server ->
-      Serve.shutdown server;
-      Alcotest.fail "a builder whose batch axis is not outermost was served"
+      let build, calls = counting build in
+      let model = { Serve.name; build } in
+      let server = Serve.create ~config [ model ] in
+      Fun.protect
+        ~finally:(fun () -> Serve.shutdown server)
+        (fun () ->
+          check_loaded "Serve.create" calls;
+          Serve.warm server;
+          let params = Serve.random_request server ~model:name ~seed:3 in
+          Fault.with_faults
+            [ Fault.plan Fault.Kernel_exec ~mode:Fault.Corrupt ~seed:7 ~fuel:1 ]
+            (fun () ->
+              match Serve.submit server ~model:name ~params with
+              | Request.Done _ -> ()
+              | _ -> Alcotest.failf "%s: request not served" name);
+          check_bool (name ^ ": a context was quarantined") true
+            ((Serve.supervision server).Serve.quarantined >= 1);
+          check_int (name ^ ": the quarantine forced a recompile") 2
+            (Serve.stats server).plan_compiles;
+          check_int (name ^ ": warm and recompile build nothing") 3
+            (total_builds calls));
+      let build, calls = counting build in
+      let zoo =
+        Zoo.create
+          ~config:{ Zoo.default_config with serve = config }
+          [ ({ Serve.name; build }, Slo.Best_effort) ]
+      in
+      Fun.protect
+        ~finally:(fun () -> Zoo.shutdown zoo)
+        (fun () ->
+          check_loaded "Zoo.create" calls;
+          ignore (Zoo.prewarm zoo);
+          check_int (name ^ ": prewarm builds nothing") 3 (total_builds calls)))
+    [ ("mlp", mlp_build); (dien.name, dien.batched) ]
 
 let test_unknown_model_rejected () =
   let server =
@@ -1296,8 +1368,6 @@ let () =
             test_analyze_rejects_weights_only;
           Alcotest.test_case "concat/slice roundtrip" `Quick
             test_concat_slice_roundtrip;
-          Alcotest.test_case "pack pads with the last request" `Quick
-            test_pack_pads_with_last;
           Alcotest.test_case "pack rejects bad shapes" `Quick
             test_pack_rejects_bad_shape;
           Alcotest.test_case "pack/unpack exact at prime batch sizes" `Quick
@@ -1348,6 +1418,8 @@ let () =
             test_unknown_model_rejected;
           Alcotest.test_case "non-polymorphic builder refused" `Quick
             test_non_polymorphic_refused;
+          Alcotest.test_case "each batch size built once per model" `Quick
+            test_each_size_built_once;
         ] );
       ( "plan-cache-domains",
         [ QCheck_alcotest.to_alcotest prop_plan_cache_domain_hammer ] );

@@ -360,6 +360,63 @@ let test_class_ledger () =
   Scheduler.shutdown s;
   Scheduler.dispose s
 
+(* The first-wins id table holds only unsettled ids.  12K requests
+   through a 32-deep queue, each completed twice (the wedge-steal double
+   execution) and claimed: the table never exceeds [outstanding] or the
+   queue bound, is empty once drained, every second completion counts
+   as a duplicate, and nothing is lost. *)
+let test_id_table_bounded () =
+  let n = 12_000 and depth = 32 in
+  let s =
+    Scheduler.create ~slos:[]
+      ~policy:(Batcher.policy ~max_batch:8 ~max_wait_us:0.)
+      ~queue_depth:depth ()
+  in
+  let peak = ref 0 in
+  let check_bound () =
+    let u = Scheduler.unsettled s in
+    peak := max !peak u;
+    if u > Scheduler.outstanding s then
+      Alcotest.failf "%d unsettled ids, %d outstanding" u
+        (Scheduler.outstanding s)
+  in
+  let serve_one () =
+    match Scheduler.try_next_batch s with
+    | `Batch b ->
+        List.iter (fun r -> Scheduler.complete s r done_outcome) b.requests;
+        check_bound ();
+        List.iter
+          (fun (r : Request.t) ->
+            Scheduler.complete s r done_outcome;
+            match Scheduler.poll s r.id with
+            | Some (Request.Done _) -> ()
+            | _ -> Alcotest.failf "request %d: no outcome to claim" r.id)
+          b.requests;
+        check_bound ()
+    | `Waiting | `Empty -> ()
+  in
+  let admitted = ref 0 in
+  while !admitted < n do
+    let model = if !admitted mod 3 = 0 then "A" else "B" in
+    (match Scheduler.submit s (mk_req ~model ()) with
+    | Ok () -> incr admitted
+    | Error Request.Queue_full -> serve_one ()
+    | Error o -> Alcotest.failf "refused: %s" (Request.overload_to_string o));
+    check_bound ()
+  done;
+  while Scheduler.outstanding s > 0 do
+    serve_one ()
+  done;
+  let st = Scheduler.stats s in
+  check_int "every request admitted" n st.Scheduler.submitted;
+  check_int "every second completion is a duplicate" n st.duplicates;
+  check_int "lost = 0" 0
+    (st.submitted - st.completed - st.failed - st.shed - st.outstanding);
+  check_int "table empty after drain" 0 (Scheduler.unsettled s);
+  check_bool "table bounded by the queue" true (!peak <= depth);
+  Scheduler.shutdown s;
+  Scheduler.dispose s
+
 (* --- Zoo level ------------------------------------------------------------- *)
 
 (* The cheap batchable fixture: dense layer + softmax over shared
@@ -579,6 +636,8 @@ let () =
             test_no_slos_is_fifo;
           Alcotest.test_case "class ledger: met, completed, rejected" `Quick
             test_class_ledger;
+          Alcotest.test_case "id table bounded by outstanding (12K x2)" `Quick
+            test_id_table_bounded;
         ] );
       ( "zoo",
         [
